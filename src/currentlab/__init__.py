@@ -10,8 +10,8 @@ scenario pipelines that write deterministic CSV/JSON artifacts.
 
 from .errors import (ArityMismatchError, ConfigError, CurrentLabError,
                      DegenerateGeometryError, DegenerateSegmentError,
-                     GridError, NoIntersectionError, StepUnderflowError,
-                     ZeroNormError)
+                     GridError, NoIntersectionError, QuadratureOverflowError,
+                     StepUnderflowError, ZeroNormError)
 from .flow import (Congruence, IntegralCurve, Termination, crossing_count,
                    crossing_events, seed_congruence, touch_count, trace_curve,
                    trace_curve_two_sided)
@@ -37,8 +37,9 @@ __all__ = [
     "Congruence", "CurrentLabError", "DEFAULT", "DegenerateGeometryError",
     "DegenerateSegmentError", "Foliation", "GridError", "Hypersurface",
     "IntegralCurve", "ManyBodyPacket", "MarginalCurrentField", "Mode",
-    "NoIntersectionError", "ScalarWavePacket", "SpacetimePoint",
-    "StepUnderflowError", "SurfaceElement", "Termination", "Tolerances",
+    "NoIntersectionError", "QuadratureOverflowError", "ScalarWavePacket",
+    "SpacetimePoint", "StepUnderflowError", "SurfaceElement", "Termination",
+    "Tolerances",
     "TubeReport", "TwoVector", "VectorWavePacket", "ZeroNormError",
     "advect_leaf", "assess_foliation", "beta_example", "build_foliation",
     "classification_map", "classify", "classify_components", "crossing_count",

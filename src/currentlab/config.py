@@ -250,6 +250,8 @@ def _parse_tolerances(raw, path: str) -> Tolerances:
         val = d.pop(key)
         if key == "quad_max_panels":
             overrides[key] = _as_int(val, f"{path}.{key}")
+            if overrides[key] < 1:
+                raise ConfigError(f"{path}.{key}: must be at least 1")
         else:
             overrides[key] = _as_real(val, f"{path}.{key}")
     try:

@@ -30,6 +30,10 @@ class StepUnderflowError(CurrentLabError):
     """Adaptive step control hit the minimum step without meeting tolerance."""
 
 
+class QuadratureOverflowError(CurrentLabError):
+    """Adaptive quadrature reached its panel cap without converging."""
+
+
 class DegenerateSegmentError(CurrentLabError):
     """Hypersurface segment with zero displacement on the snap grid."""
 

@@ -8,6 +8,11 @@ channels beyond reaching the end of the parameter range: stagnation (the
 current magnitude drops below a scale-relative cutoff) and step underflow
 (the controller would need a step below hmin to meet tolerance).
 
+Curves run as lanes of one batch: each lane keeps its own step size, span
+and direction, and every stage evaluates the field once at the points of
+all live lanes. The arithmetic is elementwise, so a curve's bytes never
+depend on the batch it ran in.
+
 x is stored unwrapped so winding around the periodic box stays visible;
 crossing counts against leaves are computed on the cylinder by the geometry
 module.
@@ -16,7 +21,6 @@ module.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,21 +29,28 @@ from . import geometry
 from .errors import StepUnderflowError
 from .tolerances import DEFAULT, Tolerances
 
-# Dormand-Prince 4(5) tableau (FSAL: the 7th stage is f at the new point)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 4(5) tableau (FSAL: the 7th stage is f at the new point, and
+# its row of A is the fifth-order solution). Rows hold (stage, coefficient)
+# pairs without the zeros; every lane sums them in this order, one
+# elementwise operation at a time, so no lane's arithmetic depends on the
+# other lanes of its batch.
 _A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    (),
+    ((0, 1 / 5),),
+    ((0, 3 / 40), (1, 9 / 40)),
+    ((0, 44 / 45), (1, -56 / 15), (2, 32 / 9)),
+    ((0, 19372 / 6561), (1, -25360 / 2187), (2, 64448 / 6561),
+     (3, -212 / 729)),
+    ((0, 9017 / 3168), (1, -355 / 33), (2, 46732 / 5247), (3, 49 / 176),
+     (4, -5103 / 18656)),
+    ((0, 35 / 384), (2, 500 / 1113), (3, 125 / 192), (4, -2187 / 6784),
+     (5, 11 / 84)),
 ]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+       187 / 2100, 1 / 40)
+_B5 = dict(_A[6])
+_ERR = tuple((j, _B5.get(j, 0.0) - b4) for j, b4 in enumerate(_B4)
+             if _B5.get(j, 0.0) != b4)
 
 
 class Termination(enum.Enum):
@@ -48,17 +59,11 @@ class Termination(enum.Enum):
     STEP_UNDERFLOW = "step_underflow"
 
 
-class _NegatedField:
-    """Time-reversed view of a field, used for backward tracing."""
-
-    def __init__(self, base):
-        self._base = base
-        self.current_scale = base.current_scale
-        self.box_length = base.box_length
-
-    def current_at(self, t, x):
-        j0, j1 = self._base.current_at(t, x)
-        return (-j0, -j1)
+# lane termination codes of the integrator core, indices into _ENDS; a
+# two-sided curve ends with the larger code of its halves
+_RANGE_END, _STAGNATION, _STEP_UNDERFLOW = 0, 1, 2
+_ENDS = (Termination.RANGE_END, Termination.STAGNATION,
+         Termination.STEP_UNDERFLOW)
 
 
 @dataclass(eq=False)
@@ -117,88 +122,161 @@ class IntegralCurve:
         pts[0] = (self.t[0], self.x[0])
         return ss, pts[:, 0], pts[:, 1]
 
-    def point_at_refined(self, s_val: float, fld, tolerances: Tolerances = DEFAULT) -> tuple:
-        """Re-integrate from the nearest accepted sample with a tight tolerance.
 
-        Dense output is only fourth-order accurate in the step size; crossing
-        refinement for flux-tube bookkeeping needs better, so this walks a
-        short, tightly controlled integration from the last accepted sample at
-        or before s_val.
-        """
-        i = self._interval(s_val)
-        span = s_val - self.s[i]
-        if span == 0.0:
-            return (float(self.t[i]), float(self.x[i]))
-        tight = tolerances.overridden(rk_tol=1e-12)
-        sub = _trace(fld, float(self.t[i]), float(self.x[i]), span, tight,
-                     max_step=None, collect=False)
-        return (sub[0], sub[1])
+def _combine(row, k):
+    """Sum of coefficient * stage over one tableau row, lane by lane."""
+    (j, a), *rest = row
+    acc = a * k[j]
+    for j, a in rest:
+        acc += a * k[j]
+    return acc
 
 
-def _trace(fld, t0: float, x0: float, s_max: float, tol: Tolerances,
-           max_step, collect: bool = True):
-    """Forward integration core. Returns sample arrays or just the endpoint."""
-    scale = fld.current_scale
-    eps_stag = tol.stagnation_rel * scale
-    f = np.array(fld.current_at(t0, x0))
+def _rhs(fld, sign, y):
+    """Signed current at the lane points y = (t, x), one field call."""
+    j0, j1 = fld.current_grid(y[0], y[1])
+    return np.array([sign * j0, sign * j1])
+
+
+def _dp45(fld, t0, x0, s_max, sign, tol: Tolerances, max_step):
+    """Lane-batched integration core.
+
+    Lane i follows dy/ds = sign[i] * j(y) from (t0[i], x0[i]) over s in
+    [0, s_max[i]] with its own step size; every stage evaluates the field
+    once at the points of all live lanes. Lanes leave the batch when they
+    reach s_max, stagnate or underflow, and the rest go on. All arithmetic
+    is elementwise, so a lane's samples are bitwise the same whichever
+    lanes share its batch.
+
+    Returns the samples of all lanes, lane after lane, as an array s and
+    arrays y = (t, x) and j = (j0, j1) of two rows, with j the unsigned
+    current; the index one past each lane's last sample; and the lanes'
+    termination codes.
+    """
+    n = t0.size
+    eps_stag = tol.stagnation_rel * fld.current_scale
     y = np.array([t0, x0])
-    ss, ts, xs, f0s, f1s = [0.0], [t0], [x0], [f[0]], [f[1]]
+    f = _rhs(fld, sign, y)
+    ends = np.full(n, _RANGE_END)
+    lanes = np.arange(n)
+    log = [(lanes, np.zeros(n), y, f)]
 
-    if abs(f[0]) + abs(f[1]) < eps_stag:
-        end = Termination.STAGNATION
-        if collect:
-            return (np.array(ss), np.array(ts), np.array(xs), np.array(f0s),
-                    np.array(f1s), end)
-        return (t0, x0, end)
-    if s_max <= 0.0:
-        end = Termination.RANGE_END
-        if collect:
-            return (np.array(ss), np.array(ts), np.array(xs), np.array(f0s),
-                    np.array(f1s), end)
-        return (t0, x0, end)
-
-    h_min = tol.rk_hmin_factor * s_max
-    fnorm = abs(f[0]) + abs(f[1])
-    h = min(s_max, 0.1 * (1.0 + abs(y[0]) + abs(y[1])) / fnorm)
+    stagnant = np.abs(f[0]) + np.abs(f[1]) < eps_stag
+    ends[stagnant] = _STAGNATION
+    ids = lanes[~stagnant & (s_max > 0.0)]
+    y, f = y[:, ids], f[:, ids]
+    s = np.zeros(ids.size)
+    s_end, sg = s_max[ids], sign[ids]
+    h_min = tol.rk_hmin_factor * s_end
+    h = np.minimum(s_end, 0.1 * (1.0 + np.abs(y[0]) + np.abs(y[1]))
+                   / (np.abs(f[0]) + np.abs(f[1])))
     if max_step:
-        h = min(h, max_step)
-    s = 0.0
-    end = Termination.RANGE_END
-    k = np.empty((7, 2))
-    while s < s_max * (1.0 - 1e-15):
-        h = min(h, s_max - s)
+        h = np.minimum(h, max_step)
+    k = np.empty((7, 2, ids.size))
+    while ids.size:
+        h = np.minimum(h, s_end - s)
         k[0] = f
         for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = fld.current_at(yi[0], yi[1])
-        y5 = y + h * (_B5 @ k)
-        err = h * (_ERR @ k)
+            y5 = y + h * _combine(_A[i], k)
+            k[i] = _rhs(fld, sg, y5)
+        err = h * _combine(_ERR, k)
         sc = tol.rk_tol * np.maximum(1.0, np.maximum(np.abs(y), np.abs(y5)))
-        en = float(np.max(np.abs(err) / sc))
-        if en <= 1.0:
-            s += h
-            y = y5
-            f = k[6]  # FSAL
-            if collect:
-                ss.append(s); ts.append(y[0]); xs.append(y[1])
-                f0s.append(f[0]); f1s.append(f[1])
-            if abs(f[0]) + abs(f[1]) < eps_stag:
-                end = Termination.STAGNATION
-                break
-            grow = 0.9 * en ** -0.2 if en > 0.0 else 5.0
-            h *= min(max(grow, 0.2), 5.0)
-        else:
-            h_new = h * min(max(0.9 * en ** -0.2, 0.2), 1.0)
-            if h_new < h_min:
-                end = Termination.STEP_UNDERFLOW
-                break
-            h = h_new
+        ratio = np.abs(err) / sc
+        en = np.maximum(ratio[0], ratio[1])
+        ok = en <= 1.0
+        s = np.where(ok, s + h, s)
+        y = np.where(ok, y5, y)
+        # a copy (FSAL): the next attempt overwrites k, and a rejected one
+        # must restart from the derivative at the accepted point
+        f = np.where(ok, k[6], f)
+        log.append((ids[ok], s[ok], y[:, ok], f[:, ok]))
+        with np.errstate(divide="ignore"):
+            q = 0.9 * en ** -0.2
+        # accepted steps grow by at most 5, rejected ones shrink by at most
+        # 5; a NaN error norm is a rejection whose new step underflows, so
+        # no lane can loop forever
+        h = h * np.minimum(np.maximum(q, 0.2), np.where(ok, 5.0, 1.0))
+        stop = np.full(ids.size, -1)
+        stop[ok & ~(s < s_end * (1.0 - 1e-15))] = _RANGE_END
+        stop[ok & (np.abs(f[0]) + np.abs(f[1]) < eps_stag)] = _STAGNATION
+        stop[~ok & ~(h >= h_min)] = _STEP_UNDERFLOW
         if max_step:
-            h = min(h, max_step)
-    if collect:
-        return (np.array(ss), np.array(ts), np.array(xs), np.array(f0s),
-                np.array(f1s), end)
-    return (float(y[0]), float(y[1]), end)
+            h = np.minimum(h, max_step)
+        going = stop < 0
+        if not going.all():
+            ends[ids[~going]] = stop[~going]
+            ids, y, f, s, h = ids[going], y[:, going], f[:, going], \
+                s[going], h[going]
+            s_end, h_min, sg = s_end[going], h_min[going], sg[going]
+            k = k[:, :, going]
+
+    lane = np.concatenate([part[0] for part in log])
+    order = np.argsort(lane, kind="stable")
+    ss = np.concatenate([part[1] for part in log])[order]
+    ys = np.concatenate([part[2] for part in log], axis=1)[:, order]
+    js = np.concatenate([part[3] for part in log], axis=1)[:, order] \
+        * sign[lane[order]]
+    stops = np.cumsum(np.bincount(lane, minlength=n))
+    return ss, ys, js, stops, ends
+
+
+def _start_coords(start) -> tuple:
+    if hasattr(start, "t"):
+        return float(start.t), float(start.x)
+    return float(start[0]), float(start[1])
+
+
+def trace_curves(fld, t0, x0, s_forward, s_back: float = 0.0,
+                 tolerances: Tolerances = DEFAULT,
+                 max_step: float | None = None,
+                 strict: bool = True) -> list:
+    """Trace the integral curves through the points (t0[i], x0[i]) together.
+
+    Curve i covers s in [-s_back, s_forward[i]] with s = 0 at its start;
+    s_forward is one span or one per curve, and the backward half of a
+    two-sided curve is a lane of the same batch running with the sign of
+    the field reversed. A curve's bytes never depend on the batch it was
+    traced in. With strict=True the first curve whose step control
+    underflowed raises StepUnderflowError; otherwise the underflow is
+    recorded in its `terminated` and the partial curve is returned.
+    """
+    t0 = np.asarray(t0, dtype=float).ravel()
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = t0.size
+    if n == 0:
+        return []
+    s_fwd = np.broadcast_to(np.asarray(s_forward, dtype=float), (n,))
+    two_sided = s_back > 0.0
+    lanes = 2 if two_sided else 1
+    sign = np.repeat([1.0, -1.0][:lanes], n)
+    ss, ys, js, stops, ends = _dp45(
+        fld, np.tile(t0, lanes), np.tile(x0, lanes),
+        np.concatenate([s_fwd, np.full(n if two_sided else 0, float(s_back))]),
+        sign, tolerances, max_step)
+    bounds = [0] + stops.tolist()
+
+    def lane(i):
+        a, b = bounds[i], bounds[i + 1]
+        if strict and ends[i] == _STEP_UNDERFLOW:
+            raise StepUnderflowError(
+                f"step control underflowed near s={ss[b - 1] * sign[i]:.6g} "
+                f"(t={ys[0, b - 1]:.6g}, x={ys[1, b - 1]:.6g})")
+        return ss[a:b], ys[0, a:b], ys[1, a:b], js[0, a:b], js[1, a:b]
+
+    curves = []
+    for i in range(n):
+        s, t, x, j0, j1 = lane(i)
+        end = ends[i]
+        if two_sided:
+            bs, *back = lane(n + i)
+            # the backward lane ran from s = 0 outwards: reverse it, drop
+            # its copy of the start sample and count its s down from 0
+            s, t, x, j0, j1 = (np.concatenate([b[:0:-1], f]) for b, f in
+                               zip([-bs, *back], (s, t, x, j0, j1)))
+            end = max(end, ends[n + i])
+        curves.append(IntegralCurve(s, t, x, j0, j1, _ENDS[end],
+                                    fld.box_length))
+    return curves
 
 
 def trace_curve(fld, start, s_max: float, tolerances: Tolerances = DEFAULT,
@@ -209,12 +287,9 @@ def trace_curve(fld, start, s_max: float, tolerances: Tolerances = DEFAULT,
     underflow raises StepUnderflowError; otherwise it is recorded in
     `terminated` and the partial curve is returned.
     """
-    t0, x0 = (start.t, start.x) if hasattr(start, "t") else (float(start[0]), float(start[1]))
-    s, t, x, j0, j1, end = _trace(fld, t0, x0, float(s_max), tolerances, max_step)
-    if strict and end is Termination.STEP_UNDERFLOW:
-        raise StepUnderflowError(
-            f"step control underflowed near s={s[-1]:.6g} (t={t[-1]:.6g}, x={x[-1]:.6g})")
-    return IntegralCurve(s, t, x, j0, j1, end, fld.box_length)
+    t0, x0 = _start_coords(start)
+    return trace_curves(fld, [t0], [x0], s_max, 0.0, tolerances, max_step,
+                        strict)[0]
 
 
 def trace_curve_two_sided(fld, start, s_back: float, s_forward: float,
@@ -222,22 +297,9 @@ def trace_curve_two_sided(fld, start, s_back: float, s_forward: float,
                           max_step: float | None = None,
                           strict: bool = True) -> IntegralCurve:
     """Trace through `start`, covering s in [-s_back, s_forward] with s=0 at start."""
-    fwd = trace_curve(fld, start, s_forward, tolerances, max_step, strict)
-    if s_back <= 0.0:
-        return fwd
-    bwd = trace_curve(_NegatedField(fld), start, s_back, tolerances, max_step, strict)
-    # reverse the backward half and restore the true field sign
-    s = np.concatenate([-bwd.s[::-1][:-1], fwd.s])
-    t = np.concatenate([bwd.t[::-1][:-1], fwd.t])
-    x = np.concatenate([bwd.x[::-1][:-1], fwd.x])
-    j0 = np.concatenate([-bwd.j0[::-1][:-1], fwd.j0])
-    j1 = np.concatenate([-bwd.j1[::-1][:-1], fwd.j1])
-    end = fwd.terminated
-    if Termination.STEP_UNDERFLOW in (fwd.terminated, bwd.terminated):
-        end = Termination.STEP_UNDERFLOW
-    elif Termination.STAGNATION in (fwd.terminated, bwd.terminated):
-        end = Termination.STAGNATION
-    return IntegralCurve(s, t, x, j0, j1, end, fld.box_length)
+    t0, x0 = _start_coords(start)
+    return trace_curves(fld, [t0], [x0], s_forward, s_back, tolerances,
+                        max_step, strict)[0]
 
 
 @dataclass(eq=False)
@@ -255,23 +317,19 @@ def seed_congruence(fld, surface, count: int, s_max: float,
                     max_step: float | None = None) -> Congruence:
     """Seed `count` curves at lambda_i = i/count on `surface` and trace them.
 
-    Per-curve integrator failures are recorded (index, message) rather than
-    aborting the whole congruence.
+    All curves, both halves, run as one batch. A curve whose step control
+    underflowed is kept, with the underflow in its `terminated`; an
+    exception raised by the field propagates.
     """
     if count < 1:
         raise ValueError("congruence needs at least one curve")
     params = np.arange(count) / count
-    curves = []
-    errors = []
-    for i, lam in enumerate(params):
-        pt = surface.point_at(lam)
-        try:
-            curves.append(trace_curve_two_sided(fld, pt, s_back, s_max,
-                                                tolerances, max_step, strict=False))
-        except Exception as exc:  # defensive: record, keep going
-            errors.append((i, str(exc)))
-            curves.append(None)
-    return Congruence(curves, surface, params, errors)
+    points = [surface.point_at(lam) for lam in params]
+    t0 = np.array([p.t for p in points])
+    x0 = np.array([p.x for p in points])
+    return Congruence(trace_curves(fld, t0, x0, s_max, s_back, tolerances,
+                                   max_step, strict=False),
+                      surface, params)
 
 
 def crossing_events(curve: IntegralCurve, surface,

@@ -281,9 +281,9 @@ def advect_leaf(packet, surface: Hypersurface, ds: float,
                 tolerances: Tolerances = DEFAULT) -> Hypersurface:
     """Flow every node along its integral curve for affine parameter ds.
 
-    Nodes sitting on current zeros are pinned in place and flagged in
-    stagnant_nodes of the returned leaf; node count and lambda values are
-    preserved. Step underflow propagates.
+    All nodes are traced as one batch. Nodes sitting on current zeros are
+    pinned in place and flagged in stagnant_nodes of the returned leaf; node
+    count and lambda values are preserved. Step underflow propagates.
     """
     if ds < 0.0:
         raise ValueError("advection parameter must be nonnegative")
@@ -291,16 +291,13 @@ def advect_leaf(packet, surface: Hypersurface, ds: float,
         return Hypersurface(surface.lam.copy(), surface.t.copy(),
                             surface.x.copy(), surface.box_length,
                             surface.stagnant_nodes)
-    new_t = surface.t.copy()
-    new_x = surface.x.copy()
+    curves = flow.trace_curves(packet, surface.t, surface.x, ds,
+                               tolerances=tolerances)
+    new_t = np.array([c.t[-1] for c in curves])
+    new_x = np.array([c.x[-1] for c in curves])
     stagnant = set(surface.stagnant_nodes)
-    for i in range(len(surface.lam)):
-        curve = flow.trace_curve(packet, (surface.t[i], surface.x[i]), ds,
-                                 tolerances, strict=True)
-        if curve.terminated is flow.Termination.STAGNATION:
-            stagnant.add(i)
-        new_t[i] = curve.t[-1]
-        new_x[i] = curve.x[-1]
+    stagnant.update(i for i, c in enumerate(curves)
+                    if c.terminated is flow.Termination.STAGNATION)
     return Hypersurface(surface.lam.copy(), new_t, new_x, surface.box_length,
                         tuple(sorted(stagnant)))
 
@@ -407,41 +404,73 @@ def _leaf_param_of_event(surface: Hypersurface, event) -> float:
     return float(lam_c[i] + event.v * (lam_c[i + 1] - lam_c[i]))
 
 
-def _map_to_leaf(packet, start: SpacetimePoint, target: Hypersurface,
+def _map_to_leaf(packet, starts, target: Hypersurface,
                  tolerances: Tolerances, s_hint: float | None,
-                 max_doublings: int) -> float:
-    """Leaf parameter where the curve through `start` first crosses `target`."""
-    budget = s_hint if s_hint is not None else packet.box_length
-    geom = target.leaf_geometry(tolerances.snap)
-    curve = None
-    events = []
+                 max_doublings: int) -> list:
+    """Leaf parameters where the curves through `starts` first cross `target`.
+
+    The curves run as one batch, in the bracketing pass and in the tight
+    re-trace; a curve that has not reached the leaf runs again with twice
+    its budget. The first curve, in the order of `starts`, that cannot reach
+    the leaf raises NoIntersectionError.
+    """
+    n = len(starts)
+    t0 = np.array([p.t for p in starts])
+    x0 = np.array([p.x for p in starts])
+    budget = np.full(n, s_hint if s_hint is not None else packet.box_length)
+    curves = [None] * n
+    events = [[] for _ in range(n)]
+    failures = {}
+    todo = list(range(n))
     for _ in range(max_doublings + 1):
-        curve = flow.trace_curve(packet, start, budget, tolerances,
-                                 strict=False)
-        events = flow.crossing_events(curve, target, tolerances)
-        if events:
+        traced = flow.trace_curves(packet, t0[todo], x0[todo], budget[todo],
+                                   tolerances=tolerances, strict=False)
+        retry = []
+        for i, curve in zip(todo, traced):
+            curves[i] = curve
+            events[i] = flow.crossing_events(curve, target, tolerances)
+            if events[i]:
+                continue
+            if curve.terminated is not flow.Termination.RANGE_END:
+                failures[i] = (f"terminated ({curve.terminated.value}) "
+                               f"before reaching the leaf")
+            else:
+                retry.append(i)
+        todo = retry
+        if not todo:
             break
-        if curve.terminated is not flow.Termination.RANGE_END:
-            raise NoIntersectionError(
-                f"curve from (t={start.t:.6g}, x={start.x:.6g}) "
-                f"terminated ({curve.terminated.value}) before reaching the leaf")
-        budget *= 2.0
-    if not events:
+        budget[todo] *= 2.0
+    for i in todo:
+        failures[i] = (f"did not reach the leaf within affine budget "
+                       f"{budget[i] / 2.0:.6g}")
+    if failures:
+        i = min(failures)
         raise NoIntersectionError(
-            f"curve from (t={start.t:.6g}, x={start.x:.6g}) did not reach the "
-            f"leaf within affine budget {budget / 2.0:.6g}")
-    ev = events[0]
+            f"curve from (t={t0[i]:.6g}, x={x0[i]:.6g}) {failures[i]}")
     # refine: the coarse pass only brackets the crossing; re-integrate the
     # whole arc from the seed (exactly on the source leaf) at tight tolerance
     # so no accumulated drift survives, then intersect the dense resample
-    k1 = min(ev.curve_seg + 2, curve.n_samples - 1)
-    span = float(curve.s[k1])
-    if span <= 0.0:
-        return _leaf_param_of_event(target, ev)
+    firsts = [ev[0] for ev in events]
+    spans = np.array([curve.s[min(ev.curve_seg + 2, curve.n_samples - 1)]
+                      for curve, ev in zip(curves, firsts)])
+    lams = [_leaf_param_of_event(target, ev) for ev in firsts]
+    arcs = [i for i in range(n) if spans[i] > 0.0]
     tight = tolerances.overridden(rk_tol=1e-11)
-    sub = flow.trace_curve(packet, start, span, tight, strict=False)
+    subs = flow.trace_curves(packet, t0[arcs], x0[arcs], spans[arcs],
+                             tolerances=tight, strict=False)
+    for i, sub in zip(arcs, subs):
+        lams[i] = _refined_param(target, sub, firsts[i], tolerances)
+    return lams
+
+
+def _refined_param(target: Hypersurface, sub, ev,
+                   tolerances: Tolerances) -> float:
+    """Leaf parameter of the first crossing of the tightly traced arc `sub`.
+
+    Falls back to the coarse event `ev` when the resampled arc misses the leaf.
+    """
     ss, st, sx = sub.resampled(4)
-    sub_events = leaf_crossings(st, sx, geom)
+    sub_events = leaf_crossings(st, sx, target.leaf_geometry(tolerances.snap))
     hits = [e for e in sub_events if e.kind == "crossing"] or sub_events
     if not hits:
         return _leaf_param_of_event(target, ev)
@@ -497,13 +526,12 @@ def tube_conservation(packet, leaf_a: Hypersurface, range_a,
         raise ValueError("range_a must satisfy 0 <= a <= b <= 1")
     p_a = probability(packet, leaf_a, (la1, la2), tolerances)
     if la1 == la2:
-        lb = _map_to_leaf(packet, leaf_a.point_at(la1), leaf_b, tolerances,
-                          s_hint, max_doublings)
+        lb, = _map_to_leaf(packet, [leaf_a.point_at(la1)], leaf_b, tolerances,
+                           s_hint, max_doublings)
         return TubeReport(0.0, 0.0, (lb, lb))
-    lb1 = _map_to_leaf(packet, leaf_a.point_at(la1), leaf_b, tolerances,
-                       s_hint, max_doublings)
-    lb2 = _map_to_leaf(packet, leaf_a.point_at(la2), leaf_b, tolerances,
-                       s_hint, max_doublings)
+    lb1, lb2 = _map_to_leaf(packet,
+                            [leaf_a.point_at(la1), leaf_a.point_at(la2)],
+                            leaf_b, tolerances, s_hint, max_doublings)
     p_b = probability_wrapped(packet, leaf_b, lb1, lb2, tolerances)
     return TubeReport(p_a, p_b, (lb1, lb2))
 

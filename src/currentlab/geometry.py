@@ -6,7 +6,9 @@ snapping floats to a fixed grid (default 1e-12). A floating-point filter with
 a conservative error bound resolves the common far-from-degenerate cases
 cheaply; only near-ties fall back to exact integer arithmetic. The filter
 operates on the snapped values themselves, so the fast and exact paths can
-never disagree.
+never disagree. Crossing tests and the membership ray cast run the filter
+over numpy arrays of candidate segments; exact arithmetic and the scalar
+bookkeeping see only the entries the filter flags or keeps.
 
 Leaves live on the cylinder x ~ x + L. They are stored as one base period
 (the closing segment connects the last node to the first node shifted by one
@@ -26,6 +28,8 @@ from .errors import DegenerateGeometryError
 # float-filter share of pure rounding error; products of snapped ints below
 # 2^53 convert exactly, each multiply then rounds at 2^-53
 _FILTER_EPS = 5e-16
+# bound on the entries of one block of curve/leaf segment overlap tests
+_PAIR_BLOCK = 1 << 16
 
 
 def snap_to_grid(values, snap: float):
@@ -44,24 +48,35 @@ def orient_exact(ax, ay, bx, by, cx, cy) -> int:
 
 
 def orient(ax, ay, bx, by, cx, cy) -> int:
-    """Filtered orientation of snapped integer coordinates.
+    """Filtered orientation of one triple of snapped integer coordinates."""
+    return int(_orient_signs(*(np.array([v], dtype=np.int64)
+                               for v in (ax, ay, bx, by, cx, cy)))[0])
 
-    Arguments may be numpy int64 scalars; the float evaluation is trusted
-    whenever its magnitude clears the rounding-error bound.
+
+def _orient_signs(ax, ay, bx, by, cx, cy) -> np.ndarray:
+    """Signs of (b-a) x (c-a) over int64 coordinate arrays (or scalars).
+
+    A float filter decides every entry whose magnitude clears its
+    rounding-error bound. Differences are taken in int64 and rounded once to
+    float, each product and their difference round once more, so the
+    computed value lies within 4 * 2^-53 * m of the exact one, inside the
+    _FILTER_EPS * m margin. No int64 product is formed: snapped coordinates
+    reach ~1e13, and their products would overflow. Entries the filter
+    leaves undecided are settled exactly over Python integers.
     """
-    ux = float(bx) - float(ax)
-    uy = float(by) - float(ay)
-    vx = float(cx) - float(ax)
-    vy = float(cy) - float(ay)
+    ux = (bx - ax).astype(float)
+    uy = (by - ay).astype(float)
+    vx = (cx - ax).astype(float)
+    vy = (cy - ay).astype(float)
     p = ux * vy
     q = uy * vx
     d = p - q
-    m = abs(p) + abs(q)
-    if abs(d) > _FILTER_EPS * m:
-        return 1 if d > 0.0 else -1
-    if m == 0.0:
-        return 0
-    return orient_exact(ax, ay, bx, by, cx, cy)
+    m = np.abs(p) + np.abs(q)
+    out = np.sign(d).astype(np.int64)
+    points = (ax, ay, bx, by, cx, cy)
+    for i in np.flatnonzero(~(np.abs(d) > _FILTER_EPS * m) & (m != 0.0)):
+        out[i] = orient_exact(*(v[i] if np.ndim(v) else v for v in points))
+    return out
 
 
 def _within(lo, hi, v) -> bool:
@@ -114,6 +129,8 @@ class LeafGeometry:
         self.thi = np.maximum(self.tc[:-1], self.tc[1:])
         self.x_min = int(self.xlo.min())
         self.x_max = int(self.xhi.max())
+        self.t_min = int(self.tlo.min())
+        self.t_max = int(self.thi.max())
 
     # -- parity membership --------------------------------------------------
 
@@ -144,29 +161,25 @@ class LeafGeometry:
 
         Returns None when the point itself lies on the leaf. Uses the
         half-open rule [min(x1,x2), max(x1,x2)) so shared vertices are never
-        counted twice and touches contribute an even count.
+        counted twice and touches contribute an even count. Only segments
+        whose closed x extent holds qx are tested, all at once.
         """
-        hits = 0
-        for i in range(self.n_segments):
-            x1 = int(self.xc[i]); x2 = int(self.xc[i + 1])
-            t1 = int(self.tc[i]); t2 = int(self.tc[i + 1])
-            # exact on-segment test first (closed extents)
-            if min(x1, x2) <= qx <= max(x1, x2) and min(t1, t2) <= pt <= max(t1, t2):
-                if (x2 - x1) * (pt - t1) - (t2 - t1) * (qx - x1) == 0:
-                    return None
-            if x1 == x2:
-                continue
-            if not (min(x1, x2) <= qx < max(x1, x2)):
-                continue
-            # side of the crossing relative to pt: t*(qx) - pt has the sign of
-            # delta/(x2-x1)
-            delta = (t1 - pt) * (x2 - x1) + (t2 - t1) * (qx - x1)
-            if delta == 0:
-                # crossing exactly at the ray origin is an on-leaf point
-                return None
-            if _sign(delta) * _sign(x2 - x1) < 0:
-                hits += 1
-        return hits
+        near = np.flatnonzero((self.xlo <= qx) & (qx <= self.xhi))
+        x1, t1 = self.xc[near], self.tc[near]
+        x2, t2 = self.xc[near + 1], self.tc[near + 1]
+        # sign of (x2-x1)(pt-t1) - (t2-t1)(qx-x1): the point's side of the
+        # segment's line; zero means on the segment, since qx is within it
+        side = _orient_signs(x1, t1, x2, t2, qx, pt)
+        vertical = x1 == x2
+        on_leaf = np.where(vertical,
+                           (self.tlo[near] <= pt) & (pt <= self.thi[near]),
+                           side == 0)
+        if on_leaf.any():
+            return None
+        # the leaf lies below the point where the side agrees with the sign
+        # of the segment's x direction
+        below = ~vertical & (qx < self.xhi[near]) & (side == np.sign(x2 - x1))
+        return int(np.count_nonzero(below))
 
 
 def _interp_params(cx1, cy1, cx2, cy2, lx1, ly1, lx2, ly2):
@@ -194,6 +207,41 @@ def _project_param(ax, ay, bx, by, px, py) -> float:
     return min(max(v, 0.0), 1.0)
 
 
+def _candidate_pairs(cti, cxi, leaf: LeafGeometry):
+    """(curve segment, shift, leaf segment) triples whose boxes overlap.
+
+    Ordered by curve segment, then shift, then leaf segment. Curve segments
+    of zero length or outside the leaf's t-range are dropped first; the
+    overlap tests run a block of curve segments at a time, so no array
+    grows beyond about _PAIR_BLOCK entries.
+    """
+    c1t, c2t, c1x, c2x = cti[:-1], cti[1:], cxi[:-1], cxi[1:]
+    btlo, bthi = np.minimum(c1t, c2t), np.maximum(c1t, c2t)
+    blo, bhi = np.minimum(c1x, c2x), np.maximum(c1x, c2x)
+    keep = np.flatnonzero(((c1t != c2t) | (c1x != c2x))
+                          & (bthi >= leaf.t_min) & (btlo <= leaf.t_max))
+    if keep.size == 0:
+        return (keep,) * 3
+    # the shifts n whose copy of the leaf's x extent meets the segment's
+    period = leaf.period
+    n_lo = -((leaf.x_max - blo[keep]) // period)
+    n_hi = (bhi[keep] - leaf.x_min) // period
+    block = max(1, _PAIR_BLOCK // leaf.n_segments)
+    parts = []
+    for n in range(int(n_lo.min()), int(n_hi.max()) + 1):
+        segs = keep[(n_lo <= n) & (n <= n_hi)]
+        off = n * period
+        for b in range(0, segs.size, block):
+            k = segs[b:b + block, None]
+            hit = ((leaf.xlo + off <= bhi[k]) & (leaf.xhi + off >= blo[k])
+                   & (leaf.tlo <= bthi[k]) & (leaf.thi >= btlo[k]))
+            rows, cols = np.nonzero(hit)
+            parts.append((segs[b + rows], np.full(rows.size, n), cols))
+    ks, ns, ms = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((ms, ns, ks))
+    return ks[order], ns[order], ms[order]
+
+
 def leaf_crossings(curve_t, curve_x, leaf: LeafGeometry):
     """All crossing/touch events of a curve polyline against a leaf.
 
@@ -204,82 +252,71 @@ def leaf_crossings(curve_t, curve_x, leaf: LeafGeometry):
     snap = leaf.snap
     cti = snap_to_grid(curve_t, snap)
     cxi = snap_to_grid(curve_x, snap)
-    n_seg = len(cti) - 1
-    if n_seg < 1:
+    if len(cti) < 2:
         return []
 
-    ctf = cti.astype(float)
-    cxf = cxi.astype(float)
-    lxlo = leaf.xlo.astype(float)
-    lxhi = leaf.xhi.astype(float)
-    ltlo = leaf.tlo.astype(float)
-    lthi = leaf.thi.astype(float)
+    # the orientation tests of every candidate pair, filtered in bulk; a pair
+    # survives when neither segment lies strictly on one side of the other's
+    # line, and only survivors reach the scalar code below
+    ks, ns, ms = _candidate_pairs(cti, cxi, leaf)
+    off = ns * leaf.period
+    l1 = (leaf.xc[ms] + off, leaf.tc[ms])
+    l2 = (leaf.xc[ms + 1] + off, leaf.tc[ms + 1])
+    c1 = (cxi[ks], cti[ks])
+    c2 = (cxi[ks + 1], cti[ks + 1])
+    o1s = _orient_signs(*l1, *l2, *c1)
+    o2s = _orient_signs(*l1, *l2, *c2)
+    near = np.flatnonzero((o1s == 0) | (o1s != o2s))
+    l1, l2, c1, c2 = ((xs[near], ts[near]) for xs, ts in (l1, l2, c1, c2))
+    o3s = _orient_signs(*c1, *c2, *l1)
+    o4s = _orient_signs(*c1, *c2, *l2)
+    hit = np.flatnonzero((o3s == 0) | (o3s != o4s))
 
     proper = []    # (pos, event)
     contacts = []  # (point key, pos, leaf_seg, v, shift, curve_seg, u)
-    period = leaf.period
-
-    for kseg in range(n_seg):
-        c1t, c1x = cti[kseg], cxi[kseg]
-        c2t, c2x = cti[kseg + 1], cxi[kseg + 1]
-        if c1t == c2t and c1x == c2x:
+    for j in hit:
+        i = near[j]
+        kseg, n, m = int(ks[i]), int(ns[i]), int(ms[i])
+        o1, o2, o3, o4 = int(o1s[i]), int(o2s[i]), int(o3s[j]), int(o4s[j])
+        (l1x, l1t), (l2x, l2t), (c1x, c1t), (c2x, c2t) = (
+            (int(xs[j]), int(ts[j])) for xs, ts in (l1, l2, c1, c2))
+        if o1 and o2 and o3 and o4:
+            u, v = _interp_params(c1x, c1t, c2x, c2t, l1x, l1t, l2x, l2t)
+            proper.append((kseg + u,
+                           CrossingEvent(kseg, u, m, v, n, "crossing")))
             continue
-        blo, bhi = min(c1x, c2x), max(c1x, c2x)
-        btlo, bthi = min(c1t, c2t), max(c1t, c2t)
-        n_lo = -((leaf.x_max - int(blo)) // period) - 1
-        n_hi = (int(bhi) - leaf.x_min) // period + 1
-        for n in range(n_lo, n_hi + 1):
-            off = n * period
-            cand = np.nonzero((lxlo + off <= bhi) & (lxhi + off >= blo)
-                              & (ltlo <= bthi) & (lthi >= btlo))[0]
-            for m in cand:
-                l1t, l1x = leaf.tc[m], leaf.xc[m] + off
-                l2t, l2x = leaf.tc[m + 1], leaf.xc[m + 1] + off
-                o1 = orient(l1x, l1t, l2x, l2t, c1x, c1t)
-                o2 = orient(l1x, l1t, l2x, l2t, c2x, c2t)
-                if o1 != 0 and o1 == o2:
-                    continue
-                o3 = orient(c1x, c1t, c2x, c2t, l1x, l1t)
-                o4 = orient(c1x, c1t, c2x, c2t, l2x, l2t)
-                if o3 != 0 and o3 == o4:
-                    continue
-                if o1 and o2 and o3 and o4:
-                    u, v = _interp_params(c1x, c1t, c2x, c2t, l1x, l1t, l2x, l2t)
-                    proper.append((kseg + u,
-                                   CrossingEvent(kseg, u, int(m), v, n, "crossing")))
-                    continue
-                if o1 == 0 and o2 == 0:
-                    # both curve endpoints on the leaf line; any overlap of
-                    # positive length is degenerate
-                    inside1 = _within(l1x, l2x, c1x) and _within(l1t, l2t, c1t)
-                    inside2 = _within(l1x, l2x, c2x) and _within(l1t, l2t, c2t)
-                    span = (min(max(l1x, l2x), max(c1x, c2x))
-                            - max(min(l1x, l2x), min(c1x, c2x))) \
-                        + (min(max(l1t, l2t), max(c1t, c2t))
-                           - max(min(l1t, l2t), min(c1t, c2t)))
-                    if (inside1 or inside2 or
-                            (_within(c1x, c2x, l1x) and _within(c1t, c2t, l1t))):
-                        if span > 0:
-                            raise DegenerateGeometryError(
-                                "curve and leaf share a collinear segment of "
-                                "nonzero length")
-                # endpoint / vertex contacts
-                if o1 == 0 and _within(l1x, l2x, c1x) and _within(l1t, l2t, c1t):
-                    v = _project_param(l1x, l1t, l2x, l2t, c1x, c1t)
-                    contacts.append(((int(c1t), int(c1x)), float(kseg), int(m), v,
-                                     n, kseg, 0.0))
-                if o2 == 0 and _within(l1x, l2x, c2x) and _within(l1t, l2t, c2t):
-                    v = _project_param(l1x, l1t, l2x, l2t, c2x, c2t)
-                    contacts.append(((int(c2t), int(c2x)), float(kseg + 1), int(m), v,
-                                     n, kseg, 1.0))
-                if o3 == 0 and _within(c1x, c2x, l1x) and _within(c1t, c2t, l1t):
-                    u = _project_param(c1x, c1t, c2x, c2t, l1x, l1t)
-                    contacts.append(((int(l1t), int(l1x)), kseg + u, int(m), 0.0,
-                                     n, kseg, u))
-                if o4 == 0 and _within(c1x, c2x, l2x) and _within(c1t, c2t, l2t):
-                    u = _project_param(c1x, c1t, c2x, c2t, l2x, l2t)
-                    contacts.append(((int(l2t), int(l2x)), kseg + u, int(m), 1.0,
-                                     n, kseg, u))
+        if o1 == 0 and o2 == 0:
+            # both curve endpoints on the leaf line; any overlap of
+            # positive length is degenerate
+            inside1 = _within(l1x, l2x, c1x) and _within(l1t, l2t, c1t)
+            inside2 = _within(l1x, l2x, c2x) and _within(l1t, l2t, c2t)
+            span = (min(max(l1x, l2x), max(c1x, c2x))
+                    - max(min(l1x, l2x), min(c1x, c2x))) \
+                + (min(max(l1t, l2t), max(c1t, c2t))
+                   - max(min(l1t, l2t), min(c1t, c2t)))
+            if (inside1 or inside2 or
+                    (_within(c1x, c2x, l1x) and _within(c1t, c2t, l1t))):
+                if span > 0:
+                    raise DegenerateGeometryError(
+                        "curve and leaf share a collinear segment of "
+                        "nonzero length")
+        # endpoint / vertex contacts
+        if o1 == 0 and _within(l1x, l2x, c1x) and _within(l1t, l2t, c1t):
+            v = _project_param(l1x, l1t, l2x, l2t, c1x, c1t)
+            contacts.append(((int(c1t), int(c1x)), float(kseg), m, v, n,
+                             kseg, 0.0))
+        if o2 == 0 and _within(l1x, l2x, c2x) and _within(l1t, l2t, c2t):
+            v = _project_param(l1x, l1t, l2x, l2t, c2x, c2t)
+            contacts.append(((int(c2t), int(c2x)), float(kseg + 1), m, v,
+                             n, kseg, 1.0))
+        if o3 == 0 and _within(c1x, c2x, l1x) and _within(c1t, c2t, l1t):
+            u = _project_param(c1x, c1t, c2x, c2t, l1x, l1t)
+            contacts.append(((int(l1t), int(l1x)), kseg + u, m, 0.0, n,
+                             kseg, u))
+        if o4 == 0 and _within(c1x, c2x, l2x) and _within(c1t, c2t, l2t):
+            u = _project_param(c1x, c1t, c2x, c2t, l2x, l2t)
+            contacts.append(((int(l2t), int(l2x)), kseg + u, m, 1.0, n,
+                             kseg, u))
 
     events = [ev for _, ev in sorted(proper, key=lambda pe: pe[0])]
     if not contacts:

@@ -441,6 +441,8 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
     pieces_a = _segment_ranges(leaf_a, lam_ranges[0])
     pieces_b = _segment_ranges(leaf_b, lam_ranges[1])
     scale = packet.current_scale
+    # the panel cap holds for the whole square, as it does for a segment
+    panels_per_axis = math.isqrt(tolerances.quad_max_panels)
     total = 0.0
     for ia, ua0, ua1 in pieces_a:
         _, dta, dxa = leaf_a.segment(ia)
@@ -459,7 +461,8 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
             floor = tolerances.quad_tol * scale \
                 * (abs(dxa) + abs(dta)) * (abs(dxb) + abs(dtb))
             total += quadrature.adaptive_2d(f, ua0, ua1, ub0, ub1,
-                                            tolerances.quad_tol, floor)
+                                            tolerances.quad_tol, floor,
+                                            panels_per_axis)
     return total
 
 

@@ -3,12 +3,15 @@
 Used for flux and probability integrals over hypersurface segments. Panels
 are doubled until the estimate changes by less than the requested relative
 tolerance (with an absolute floor so integrals that are genuinely zero do not
-trigger endless refinement), up to a hard panel cap per segment.
+trigger endless refinement), up to a hard panel cap per segment. An integral
+that has not converged by the cap raises QuadratureOverflowError.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import QuadratureOverflowError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(7)
 # mapped onto [0, 1]
@@ -29,7 +32,9 @@ def adaptive(f, a: float, b: float, rel_tol: float, abs_floor: float,
              max_panels: int = 16384) -> float:
     """Integrate the vectorized callable f over [a, b].
 
-    f maps a 1-d array of abscissae to a 1-d array of values.
+    f maps a 1-d array of abscissae to a 1-d array of values. Raises
+    QuadratureOverflowError when doubling the panels up to max_panels never
+    meets the tolerance (with max_panels 1 no comparison can be made).
     """
     if b <= a:
         return 0.0
@@ -43,15 +48,18 @@ def adaptive(f, a: float, b: float, rel_tol: float, abs_floor: float,
         if abs(nxt - best) <= max(rel_tol * abs(nxt), abs_floor):
             return nxt
         best = nxt
-    return best
+    raise QuadratureOverflowError(
+        f"no convergence on [{a:.6g}, {b:.6g}] within {max_panels} panels "
+        f"(last estimate {best:.6g})")
 
 
 def adaptive_2d(f, a1: float, b1: float, a2: float, b2: float,
-                rel_tol: float, abs_floor: float, max_panels: int = 256) -> float:
+                rel_tol: float, abs_floor: float, max_panels: int) -> float:
     """Tensor-product version of `adaptive` over the rectangle [a1,b1]x[a2,b2].
 
     f maps two flat arrays (u1, u2) of equal length to an array of values.
-    Both axes are refined together; max_panels caps the panel count per axis.
+    Both axes are refined together; max_panels caps the panel count per axis
+    and QuadratureOverflowError is raised when the cap is reached unconverged.
     """
     if b1 <= a1 or b2 <= a2:
         return 0.0
@@ -72,4 +80,6 @@ def adaptive_2d(f, a1: float, b1: float, a2: float, b2: float,
         if abs(nxt - best) <= max(rel_tol * abs(nxt), abs_floor):
             return nxt
         best = nxt
-    return best
+    raise QuadratureOverflowError(
+        f"no convergence on [{a1:.6g}, {b1:.6g}] x [{a2:.6g}, {b2:.6g}] "
+        f"within {max_panels} panels per axis (last estimate {best:.6g})")

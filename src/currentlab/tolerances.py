@@ -19,7 +19,8 @@ class Tolerances:
     rk_hmin_factor: float = 1e-12  # minimum step as a fraction of the traced span
     stagnation_rel: float = 1e-8   # |j0|+|j1| cutoff, relative to the current scale
     quad_tol: float = 1e-9         # relative tolerance of adaptive quadratures
-    quad_max_panels: int = 16384   # hard cap on panels per segment
+    quad_max_panels: int = 16384   # hard cap on panels per segment (its
+                                   # isqrt per axis of a 2-d quadrature)
     tube_tol: float = 1e-6         # contract for flux-tube probability equality
     snap: float = 1e-12            # grid spacing of the exact geometric predicates
 

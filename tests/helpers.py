@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from currentlab import Mode, ScalarWavePacket, normalize
+from currentlab import DEFAULT, Mode, ScalarWavePacket, normalize, trace_curve
 from currentlab.scenarios import SKEWED_SEED_T
 
 TWO_PI = 2.0 * math.pi
@@ -46,3 +46,19 @@ def random_pair_state(rng, max_modes=3):
     if not raw:
         raw.append((1.0 + 0.0j, (hs[0], hs[0])))
     return symmetrize(raw, 2, float(rng.uniform(0.5, 1.5)), TWO_PI)
+
+
+def point_at_refined(curve, s_val, fld, tolerances=DEFAULT):
+    """Oracle for dense output: re-integrate to s_val at rk_tol 1e-12.
+
+    Dense output is only fourth-order accurate in the step size; this walks
+    a short, tightly controlled integration from the last accepted sample at
+    or before s_val.
+    """
+    i = curve._interval(s_val)
+    span = s_val - curve.s[i]
+    if span == 0.0:
+        return (float(curve.t[i]), float(curve.x[i]))
+    sub = trace_curve(fld, (curve.t[i], curve.x[i]), span,
+                      tolerances.overridden(rk_tol=1e-12), strict=False)
+    return (float(sub.t[-1]), float(sub.x[-1]))

@@ -265,6 +265,16 @@ def test_step_underflow_exits_three(tmp_path, capsys):
     assert "lab: numerical failure" in capsys.readouterr().err
 
 
+def test_quadrature_overflow_exits_three(tmp_path, capsys):
+    cfg = scenarios.builtin("skewed")
+    cfg["foliation"]["nLeaves"] = 2
+    cfg["tolerances"] = {"quad_max_panels": 1}
+    code, _ = run(tmp_path, "foliate", write_config(tmp_path, cfg))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "lab: numerical failure" in err and "1 panels" in err
+
+
 def test_unreachable_leaf_exits_four(tmp_path, capsys):
     cfg = {
         "name": "down-stack",

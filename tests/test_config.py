@@ -144,6 +144,8 @@ def test_signed_delta_s_for_rigid_stacks():
      "tolerances.bogus: unknown tolerance"),
     (lambda d: d.update(tolerances={"quad_max_panels": 2.5}),
      "tolerances.quad_max_panels: expected an integer"),
+    (lambda d: d.update(tolerances={"quad_max_panels": 0}),
+     "tolerances.quad_max_panels: must be at least 1"),
     (lambda d: d.update(tolerances={"rk_tol": "tight"}),
      "tolerances.rk_tol: expected a number"),
 ])

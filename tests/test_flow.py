@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from currentlab import (DEFAULT, Hypersurface, SpacetimePoint,
-                        StepUnderflowError, Termination, crossing_count,
-                        crossing_events, seed_congruence, touch_count,
-                        trace_curve, trace_curve_two_sided)
+from currentlab import (DEFAULT, CurrentLabError, Hypersurface,
+                        SpacetimePoint, StepUnderflowError, Termination,
+                        crossing_count, crossing_events, seed_congruence,
+                        touch_count, trace_curve, trace_curve_two_sided)
+from currentlab.flow import trace_curves
 
-from helpers import TWO_PI, make_packet
+from helpers import SCENARIOS, TWO_PI, make_packet, point_at_refined
 
 
 def reference_endpoint(packet, start, s_max, rtol=1e-12):
@@ -117,7 +118,7 @@ def test_dense_output_and_refined_point():
         ref = reference_endpoint(packet, (0.0, 0.4), s_val)
         t_d, x_d = curve.point_at(s_val)
         assert math.hypot(t_d - ref[0], x_d - ref[1]) < 1e-5
-        t_r, x_r = curve.point_at_refined(s_val, packet)
+        t_r, x_r = point_at_refined(curve, s_val, packet)
         assert math.hypot(t_r - ref[0], x_r - ref[1]) < 1e-8
 
 
@@ -171,3 +172,60 @@ def test_seed_congruence_keeps_stagnant_curves():
     assert kinds[3] is Termination.STAGNATION
     assert kinds[0] is Termination.RANGE_END
     assert kinds[2] is Termination.RANGE_END
+
+
+def _lane_bytes(curve):
+    return (curve.s.tobytes(), curve.t.tobytes(), curve.x.tobytes(),
+            curve.j0.tobytes(), curve.j1.tobytes(), curve.terminated)
+
+
+@pytest.mark.parametrize("s_back", [0.0, 0.5])
+@pytest.mark.parametrize("name, rk_tol, rk_hmin_factor, kinds", [
+    ("standing-wave", 1e-8, 1e-12, {Termination.STAGNATION}),
+    ("skewed", 1e-14, 1e-2, {Termination.STEP_UNDERFLOW}),
+])
+def test_lane_bytes_do_not_depend_on_batch(name, rk_tol, rk_hmin_factor,
+                                           kinds, s_back):
+    modes, seed_t, _ = SCENARIOS[name]
+    packet = make_packet(modes)
+    tol = DEFAULT.overridden(rk_tol=rk_tol, rk_hmin_factor=rk_hmin_factor)
+    surface = Hypersurface.t_const(seed_t, TWO_PI, 64)
+    cong = seed_congruence(packet, surface, 16, 1.0, s_back=s_back,
+                           tolerances=tol)
+    # the batch mixes the termination under test with lanes that run on
+    ends = {c.terminated for c in cong.curves}
+    assert kinds | {Termination.RANGE_END} <= ends
+    starts = [surface.point_at(lam) for lam in cong.seed_params]
+    t0 = np.array([p.t for p in starts])
+    x0 = np.array([p.x for p in starts])
+    full = [_lane_bytes(c) for c in cong.curves]
+    for i in range(16):
+        alone, = trace_curves(packet, t0[i:i + 1], x0[i:i + 1], 1.0, s_back,
+                              tol, strict=False)
+        assert _lane_bytes(alone) == full[i]
+    for lo in (0, 9):
+        batch = trace_curves(packet, t0[lo:lo + 7], x0[lo:lo + 7], 1.0, s_back,
+                             tol, strict=False)
+        assert [_lane_bytes(c) for c in batch] == full[lo:lo + 7]
+
+
+class _FailingField:
+    """A packet whose current evaluation raises `exc`."""
+
+    def __init__(self, packet, exc):
+        self._exc = exc
+        self.current_scale = packet.current_scale
+        self.box_length = packet.box_length
+
+    def current_grid(self, ts, xs):
+        raise self._exc
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad operand"),
+                                 CurrentLabError("no field here")])
+def test_seed_congruence_propagates_field_errors(exc):
+    packet = make_packet([(-5, 1.0), (0, 4.0), (5, 1.0)])
+    surface = Hypersurface.t_const(0.0, TWO_PI, 64)
+    with pytest.raises(type(exc)):
+        seed_congruence(_FailingField(packet, exc), surface, 8, 0.05,
+                        s_back=0.05)

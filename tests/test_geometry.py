@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from currentlab.errors import DegenerateGeometryError
-from currentlab.geometry import (LeafGeometry, leaf_crossings, on_segment,
+from currentlab.geometry import (LeafGeometry, _candidate_pairs,
+                                 _orient_signs, leaf_crossings, on_segment,
                                  orient, orient_exact, snap_to_grid)
 
 from helpers import TWO_PI
@@ -60,6 +61,59 @@ def test_orient_agrees_with_exact_on_random_triples():
         want = orient_exact(int(a[0]), int(a[1]), int(b[0]), int(b[1]),
                             int(c[0]), int(c[1]))
         assert got == want
+
+
+def test_orient_signs_agree_with_exact_on_large_triples():
+    # coordinates near 2^45, so products of differences pass 2^63: random
+    # triples, exactly collinear ones, and ones spanned by consecutive
+    # Fibonacci vectors, whose cross product is +-1 while the products it is
+    # the difference of are ~2^88, far inside the float filter's margin
+    rng = np.random.default_rng(11)
+    big = 1 << 45
+    a = rng.integers(-big, big, size=(600, 2))
+    b = rng.integers(-big, big, size=(600, 2))
+    c = rng.integers(-big, big, size=(600, 2))
+    k = rng.integers(-5, 6, size=(200, 1))
+    c[200:400] = a[200:400] + k * (b[200:400] - a[200:400])
+    fib = [0, 1]
+    while len(fib) < 66:
+        fib.append(fib[-1] + fib[-2])
+    n = rng.integers(55, 64, size=200)
+    sign = rng.choice([-1, 1], size=(200, 1))
+    fib = np.array(fib, dtype=np.int64)
+    b[400:] = a[400:] + sign * np.stack([fib[n], fib[n + 1]], axis=1)
+    c[400:] = a[400:] + sign * np.stack([fib[n + 1], fib[n + 2]], axis=1)
+    got = _orient_signs(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
+    want = [orient_exact(*map(int, (p[0], p[1], q[0], q[1], r[0], r[1])))
+            for p, q, r in zip(a, b, c)]
+    assert got.tolist() == want
+    assert want[200:400] == [0] * 200 and 0 not in want[400:]
+
+
+def test_candidate_pairs_match_scalar_search():
+    rng = np.random.default_rng(5)
+    n = 32
+    xs = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    leaf = LeafGeometry(0.4 * np.sin(2 * xs), xs, TWO_PI, SNAP)
+    ct = rng.uniform(-0.6, 0.6, 40)
+    cx = np.cumsum(rng.uniform(-0.5, 1.5, 40)) - 2 * TWO_PI
+    cti, cxi = snap_to_grid(ct, SNAP), snap_to_grid(cx, SNAP)
+    cti[7], cxi[7] = cti[6], cxi[6]   # a zero-length curve segment
+    want = []
+    for k in range(len(cti) - 1):
+        if cti[k] == cti[k + 1] and cxi[k] == cxi[k + 1]:
+            continue
+        blo, bhi = sorted((cxi[k], cxi[k + 1]))
+        btlo, bthi = sorted((cti[k], cti[k + 1]))
+        for shift in range(-6, 7):
+            off = shift * leaf.period
+            for m in range(leaf.n_segments):
+                if (leaf.xlo[m] + off <= bhi and leaf.xhi[m] + off >= blo
+                        and leaf.tlo[m] <= bthi and leaf.thi[m] >= btlo):
+                    want.append((k, shift, m))
+    got = list(zip(*(v.tolist() for v in _candidate_pairs(cti, cxi, leaf))))
+    assert got == want
+    assert len({shift for _, shift, _ in want}) >= 3
 
 
 def test_on_segment_closed_endpoints():
@@ -234,3 +288,91 @@ def test_property_crossing_parity_matches_side_change(ts, steps, x0):
     assert proper % 2 == (1 if side_changed else 0)
     assert all(ev.kind == "crossing" for ev in events)
     assert len(events) == sign_changes(ts, 0.0)
+
+
+def _ray_hits_reference(leaf, pt, qx):
+    """The scalar loop of the membership ray cast, over Python integers."""
+    hits = 0
+    for i in range(leaf.n_segments):
+        x1, x2 = int(leaf.xc[i]), int(leaf.xc[i + 1])
+        t1, t2 = int(leaf.tc[i]), int(leaf.tc[i + 1])
+        if (min(x1, x2) <= qx <= max(x1, x2)
+                and min(t1, t2) <= pt <= max(t1, t2)):
+            if (x2 - x1) * (pt - t1) - (t2 - t1) * (qx - x1) == 0:
+                return None
+        if x1 == x2 or not (min(x1, x2) <= qx < max(x1, x2)):
+            continue
+        delta = (t1 - pt) * (x2 - x1) + (t2 - t1) * (qx - x1)
+        if delta == 0:
+            return None
+        if (delta > 0) != (x2 > x1):
+            hits += 1
+    return hits
+
+
+def _membership_reference(leaf, pt, px):
+    crossings = 0
+    for n in range(-((leaf.x_max - px) // leaf.period) - 1,
+                   (px - leaf.x_min) // leaf.period + 2):
+        qx = px - n * leaf.period
+        if leaf.x_min <= qx <= leaf.x_max:
+            r = _ray_hits_reference(leaf, pt, qx)
+            if r is None:
+                return 0
+            crossings += r
+    return 1 if crossings % 2 else -1
+
+
+def _lattice_leaf(rng, n_nodes=48, unit=1 << 10):
+    """A folded, once-winding leaf on a coarse lattice, with vertical segments.
+
+    Snap 1 keeps the node values as given: coordinates up to ~2^41, so
+    products of coordinate differences pass 2^63.
+    """
+    steps = rng.integers(-2, 5, size=n_nodes) * unit
+    xs = np.concatenate([[0], np.cumsum(steps[:-1])])
+    ts = rng.integers(-(1 << 31), 1 << 31, size=n_nodes) * unit
+    period = int(steps.sum())
+    assert period > 0
+    return LeafGeometry(ts.astype(float), xs.astype(float), float(period), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_membership_matches_scalar_ray_cast(seed):
+    rng = np.random.default_rng(seed)
+    leaf = _lattice_leaf(rng)
+    assert max(abs(int(v)) for v in leaf.tc) ** 2 > 2 ** 63
+    points = []
+    # random points over a little more than the leaf's box
+    lo_t, hi_t = leaf.t_min, leaf.t_max
+    for _ in range(200):
+        points.append((int(rng.integers(lo_t - (1 << 30), hi_t + (1 << 30))),
+                       int(rng.integers(leaf.x_min - leaf.period,
+                                        leaf.x_max + leaf.period))))
+    for i in range(leaf.n_segments):
+        x1, x2 = int(leaf.xc[i]), int(leaf.xc[i + 1])
+        t1, t2 = int(leaf.tc[i]), int(leaf.tc[i + 1])
+        # nodes, lattice points on the segment, and rays through the vertex
+        g = math.gcd(x2 - x1, t2 - t1)
+        points += [(t1, x1), (t1 + (t2 - t1) // g, x1 + (x2 - x1) // g),
+                   (t1 + 12345, x1), (t1 - 12345, x1),
+                   (t1 + 1, x1 + leaf.period)]
+    on_leaf = 0
+    for pt, px in points:
+        want = _membership_reference(leaf, pt, px)
+        assert leaf.membership(pt, px) == want, (pt, px)
+        on_leaf += want == 0
+    assert on_leaf >= 2 * leaf.n_segments
+
+
+def test_membership_matches_scalar_ray_cast_on_snapped_leaf():
+    n = 64
+    xs = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    ts = 10.0 + 0.3 * np.sin(3 * xs)
+    leaf = LeafGeometry(ts, xs, TWO_PI, SNAP)
+    rng = np.random.default_rng(7)
+    tq = snap_to_grid(rng.uniform(9.5, 10.5, 300), SNAP)
+    xq = snap_to_grid(rng.uniform(-TWO_PI, 2 * TWO_PI, 300), SNAP)
+    for pt, px in zip(tq.tolist() + leaf.tc.tolist(),
+                      xq.tolist() + leaf.xc.tolist()):
+        assert leaf.membership(pt, px) == _membership_reference(leaf, pt, px)
