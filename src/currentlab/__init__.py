@@ -24,27 +24,24 @@ from .foliation import (Foliation, Hypersurface, SurfaceElement, TubeReport,
 from .manybody import (ManyBodyPacket, MarginalCurrentField,
                        probability_density_n, probability_n, symmetrize)
 from .tolerances import DEFAULT, Tolerances
-from .wavefield import (CausalClass, ClassificationMap, Mode,
-                        ScalarWavePacket, SpacetimePoint, TwoVector,
-                        VectorWavePacket, classification_map, classify,
-                        classify_components, current, divergence,
-                        evaluate_gradient, evaluate_psi, normalize)
+from .wavefield import (CausalClass, ClassificationMap, CurrentField, Mode,
+                        ScalarWavePacket, SpacetimePoint, VectorWavePacket,
+                        classification_map, classify_components)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArityMismatchError", "CausalClass", "ClassificationMap", "ConfigError",
-    "Congruence", "CurrentLabError", "DEFAULT", "DegenerateGeometryError",
-    "DegenerateSegmentError", "Foliation", "GridError", "Hypersurface",
-    "IntegralCurve", "ManyBodyPacket", "MarginalCurrentField", "Mode",
-    "NoIntersectionError", "QuadratureOverflowError", "ScalarWavePacket",
-    "SpacetimePoint", "StepUnderflowError", "SurfaceElement", "Termination",
-    "Tolerances",
-    "TubeReport", "TwoVector", "VectorWavePacket", "ZeroNormError",
+    "Congruence", "CurrentField", "CurrentLabError", "DEFAULT",
+    "DegenerateGeometryError", "DegenerateSegmentError", "Foliation",
+    "GridError", "Hypersurface", "IntegralCurve", "ManyBodyPacket",
+    "MarginalCurrentField", "Mode", "NoIntersectionError",
+    "QuadratureOverflowError", "ScalarWavePacket", "SpacetimePoint",
+    "StepUnderflowError", "SurfaceElement", "Termination", "Tolerances",
+    "TubeReport", "VectorWavePacket", "ZeroNormError",
     "advect_leaf", "assess_foliation", "beta_example", "build_foliation",
-    "classification_map", "classify", "classify_components", "crossing_count",
-    "crossing_events", "current", "divergence", "evaluate_gradient",
-    "evaluate_psi", "flux", "normalize", "probability", "probability_density",
+    "classification_map", "classify_components", "crossing_count",
+    "crossing_events", "flux", "probability", "probability_density",
     "probability_density_n", "probability_n", "probability_wrapped",
     "seed_congruence", "signed_density", "stack_leaves", "surface_element",
     "symmetrize", "touch_count", "trace_curve", "trace_curve_two_sided",

@@ -3,8 +3,8 @@
 Each subcommand loads one scenario config (a JSON file path or the name of a
 built-in scenario), runs the corresponding pipeline, and writes CSV/JSON
 files plus a manifest.json listing every produced file with its sha256
-digest. Outputs are byte-reproducible: nothing time- or thread-dependent is
-written, and the manifest echoes the normalized config rather than
+digest. Outputs are byte-reproducible: nothing time-dependent is written,
+and the manifest echoes the normalized config rather than
 command-line overrides.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 geometric failure.
@@ -26,8 +26,8 @@ from .flow import seed_congruence
 from .foliation import (Hypersurface, assess_foliation, build_foliation,
                         flux, leaf_rows, stack_leaves, tube_conservation)
 from .manybody import joint_density_rows, probability_n, symmetrize
-from .wavefield import (CausalClass, Mode, ScalarWavePacket, classify_array,
-                        classification_map, normalize)
+from .wavefield import (Mode, ScalarWavePacket, classify_array,
+                        classification_map)
 
 __all__ = ["main"]
 
@@ -78,10 +78,9 @@ def _build_packet(cfg: config.ScenarioConfig):
     if cfg.modes is None:
         raise ConfigError("modes: required by this command")
     try:
-        packet = ScalarWavePacket(
+        return ScalarWavePacket(
             cfg.mass, cfg.box_length,
-            [Mode(h, complex(re, im)) for h, re, im in cfg.modes])
-        return normalize(packet)
+            [Mode(h, complex(re, im)) for h, re, im in cfg.modes]).normalized()
     except (ValueError, ZeroNormError) as exc:
         raise ConfigError(f"modes: {exc}") from None
 
@@ -132,8 +131,6 @@ def _curve_rows(packet, congruence, cfg: config.ScenarioConfig):
     rows = []
     scale = packet.current_scale
     for ci, curve in enumerate(congruence.curves):
-        if curve is None:
-            continue
         classes = classify_array(curve.j0, curve.j1, scale, cfg.tolerances)
         for k in range(curve.n_samples):
             rows.append((ci, float(curve.s[k]), float(curve.t[k]),
@@ -147,9 +144,6 @@ def _curve_rows(packet, congruence, cfg: config.ScenarioConfig):
 def _congruence_summary(congruence) -> dict:
     per_curve = []
     for ci, curve in enumerate(congruence.curves):
-        if curve is None:
-            per_curve.append({"id": ci, "traced": False})
-            continue
         per_curve.append({
             "id": ci,
             "traced": True,
@@ -158,10 +152,7 @@ def _congruence_summary(congruence) -> dict:
             "sMax": float(curve.s[-1]),
             "termination": curve.terminated.value,
         })
-    return {
-        "curves": per_curve,
-        "seedErrors": [[i, msg] for i, msg in congruence.errors],
-    }
+    return {"curves": per_curve}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -177,11 +168,8 @@ def cmd_classify(cfg: config.ScenarioConfig, writer: RunWriter,
                [(float(t), float(x), float(j0), float(j1), c.value)
                 for t, x, j0, j1, c in zip(cmap.t, cmap.x, cmap.j0, cmap.j1,
                                            cmap.classes)])
-    counts = {cls.value: 0 for cls in CausalClass}
-    for c in cmap.classes:
-        counts[c.value] += 1
     writer.json("summary.json", {
-        "cells": counts,
+        "cells": cmap.counts(),
         "nT": g.n_t,
         "nX": g.n_x,
         "scale": packet.current_scale,
@@ -399,9 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "config)")
     common.add_argument("--seed", type=int, default=0,
                         help="RNG seed for randomized sub-range selection")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker hint; orchestration is sequential and "
-                             "outputs do not depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
             ("classify", "sample the current on a grid and classify it"),
@@ -416,8 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("threads: must be at least 1")
         if not 0 <= args.seed < 2 ** 64:
             raise ConfigError("seed: must fit in an unsigned 64-bit integer")
         cfg = _resolve_config(args.config)

@@ -21,7 +21,7 @@ module.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class IntegralCurve:
     def n_samples(self) -> int:
         return len(self.s)
 
-    def x_mod(self) -> np.ndarray:
-        return np.mod(self.x, self.box_length)
-
     def _interval(self, s_val: float) -> int:
         i = int(np.searchsorted(self.s, s_val, side="right")) - 1
         return min(max(i, 0), len(self.s) - 2)
@@ -138,7 +135,7 @@ def _rhs(fld, sign, y):
     return np.array([sign * j0, sign * j1])
 
 
-def _dp45(fld, t0, x0, s_max, sign, tol: Tolerances, max_step):
+def _dp45(fld, t0, x0, s_max, sign, tol: Tolerances):
     """Lane-batched integration core.
 
     Lane i follows dy/ds = sign[i] * j(y) from (t0[i], x0[i]) over s in
@@ -170,8 +167,6 @@ def _dp45(fld, t0, x0, s_max, sign, tol: Tolerances, max_step):
     h_min = tol.rk_hmin_factor * s_end
     h = np.minimum(s_end, 0.1 * (1.0 + np.abs(y[0]) + np.abs(y[1]))
                    / (np.abs(f[0]) + np.abs(f[1])))
-    if max_step:
-        h = np.minimum(h, max_step)
     k = np.empty((7, 2, ids.size))
     while ids.size:
         h = np.minimum(h, s_end - s)
@@ -200,8 +195,6 @@ def _dp45(fld, t0, x0, s_max, sign, tol: Tolerances, max_step):
         stop[ok & ~(s < s_end * (1.0 - 1e-15))] = _RANGE_END
         stop[ok & (np.abs(f[0]) + np.abs(f[1]) < eps_stag)] = _STAGNATION
         stop[~ok & ~(h >= h_min)] = _STEP_UNDERFLOW
-        if max_step:
-            h = np.minimum(h, max_step)
         going = stop < 0
         if not going.all():
             ends[ids[~going]] = stop[~going]
@@ -228,7 +221,6 @@ def _start_coords(start) -> tuple:
 
 def trace_curves(fld, t0, x0, s_forward, s_back: float = 0.0,
                  tolerances: Tolerances = DEFAULT,
-                 max_step: float | None = None,
                  strict: bool = True) -> list:
     """Trace the integral curves through the points (t0[i], x0[i]) together.
 
@@ -252,7 +244,7 @@ def trace_curves(fld, t0, x0, s_forward, s_back: float = 0.0,
     ss, ys, js, stops, ends = _dp45(
         fld, np.tile(t0, lanes), np.tile(x0, lanes),
         np.concatenate([s_fwd, np.full(n if two_sided else 0, float(s_back))]),
-        sign, tolerances, max_step)
+        sign, tolerances)
     bounds = [0] + stops.tolist()
 
     def lane(i):
@@ -280,7 +272,7 @@ def trace_curves(fld, t0, x0, s_forward, s_back: float = 0.0,
 
 
 def trace_curve(fld, start, s_max: float, tolerances: Tolerances = DEFAULT,
-                max_step: float | None = None, strict: bool = True) -> IntegralCurve:
+                strict: bool = True) -> IntegralCurve:
     """Trace one integral curve forward over s in [0, s_max].
 
     `start` is a SpacetimePoint or (t, x) pair. With strict=True a step
@@ -288,18 +280,16 @@ def trace_curve(fld, start, s_max: float, tolerances: Tolerances = DEFAULT,
     `terminated` and the partial curve is returned.
     """
     t0, x0 = _start_coords(start)
-    return trace_curves(fld, [t0], [x0], s_max, 0.0, tolerances, max_step,
-                        strict)[0]
+    return trace_curves(fld, [t0], [x0], s_max, 0.0, tolerances, strict)[0]
 
 
 def trace_curve_two_sided(fld, start, s_back: float, s_forward: float,
                           tolerances: Tolerances = DEFAULT,
-                          max_step: float | None = None,
                           strict: bool = True) -> IntegralCurve:
     """Trace through `start`, covering s in [-s_back, s_forward] with s=0 at start."""
     t0, x0 = _start_coords(start)
     return trace_curves(fld, [t0], [x0], s_forward, s_back, tolerances,
-                        max_step, strict)[0]
+                        strict)[0]
 
 
 @dataclass(eq=False)
@@ -309,12 +299,11 @@ class Congruence:
     curves: list
     seed_surface: object
     seed_params: np.ndarray
-    errors: list = field(default_factory=list)
 
 
 def seed_congruence(fld, surface, count: int, s_max: float,
-                    s_back: float = 0.0, tolerances: Tolerances = DEFAULT,
-                    max_step: float | None = None) -> Congruence:
+                    s_back: float = 0.0,
+                    tolerances: Tolerances = DEFAULT) -> Congruence:
     """Seed `count` curves at lambda_i = i/count on `surface` and trace them.
 
     All curves, both halves, run as one batch. A curve whose step control
@@ -328,7 +317,7 @@ def seed_congruence(fld, surface, count: int, s_max: float,
     t0 = np.array([p.t for p in points])
     x0 = np.array([p.x for p in points])
     return Congruence(trace_curves(fld, t0, x0, s_max, s_back, tolerances,
-                                   max_step, strict=False),
+                                   strict=False),
                       surface, params)
 
 

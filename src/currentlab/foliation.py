@@ -345,9 +345,6 @@ def assess_foliation(leaves, congruence: flow.Congruence,
     touches = np.zeros(n_curves, dtype=int)
     stagnant = np.zeros(n_curves, dtype=bool)
     for ci, curve in enumerate(congruence.curves):
-        if curve is None:
-            stagnant[ci] = True
-            continue
         if (curve.terminated is flow.Termination.STAGNATION
                 or curve.n_samples < 2):
             stagnant[ci] = True

@@ -83,13 +83,6 @@ def _within(lo, hi, v) -> bool:
     return min(lo, hi) <= v <= max(lo, hi)
 
 
-def on_segment(ax, ay, bx, by, px, py) -> bool:
-    """True when p lies on the closed segment a-b (collinearity is checked)."""
-    if orient(ax, ay, bx, by, px, py) != 0:
-        return False
-    return _within(ax, bx, px) and _within(ay, by, py)
-
-
 @dataclass
 class CrossingEvent:
     """One intersection of a curve polyline with a leaf.

@@ -37,7 +37,7 @@ import numpy as np
 from . import foliation, quadrature
 from .errors import ArityMismatchError, ZeroNormError
 from .tolerances import DEFAULT, Tolerances
-from .wavefield import Mode, ScalarWavePacket, _ModeBilinear, _TWO_PI
+from .wavefield import CurrentField, Mode, ScalarWavePacket, _TWO_PI
 
 
 def _pt(p) -> tuple:
@@ -349,32 +349,16 @@ class ManyBodyPacket:
                                     h_list.copy(), gram)
 
 
-class MarginalCurrentField:
+class MarginalCurrentField(CurrentField):
     """Marginal one-particle current as a Gram-weighted mode bilinear.
 
-    Behaves like a wave packet for current evaluation, tracing, and
-    foliation building; it has no underlying single-particle psi.
+    The coefficients are 1 and the effective Gram matrix carries the state;
+    there is no underlying single-particle psi.
     """
 
     def __init__(self, mass, box_length, harmonics, gram):
-        self.mass = float(mass)
-        self.box_length = float(box_length)
-        self._engine = _ModeBilinear(mass, box_length, harmonics,
-                                     np.ones(len(harmonics), dtype=complex),
-                                     gram)
-
-    def current_at(self, t: float, x: float) -> tuple:
-        return self._engine.current_at(t, x)
-
-    def current_grid(self, ts, xs) -> tuple:
-        return self._engine.current_grid(ts, xs)
-
-    @property
-    def current_scale(self) -> float:
-        return self._engine.current_scale
-
-    def total_flux(self) -> float:
-        return self._engine.total_flux()
+        super().__init__(mass, box_length, harmonics,
+                         np.ones(len(harmonics), dtype=complex), gram)
 
 
 # -- joint density and probability -------------------------------------------
@@ -432,7 +416,7 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
         raise ArityMismatchError(
             f"{len(leaves)} leaves / {len(lam_ranges)} ranges for n = {packet.n}")
     if packet.n == 1:
-        return foliation.probability(_OneParticleView(packet), leaves[0],
+        return foliation.probability(packet.as_one_particle(), leaves[0],
                                      lam_ranges[0], tolerances)
     if packet.n != 2:
         raise ArityMismatchError(
@@ -464,21 +448,6 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
                                             tolerances.quad_tol, floor,
                                             panels_per_axis)
     return total
-
-
-class _OneParticleView:
-    """Adapter exposing an n = 1 packet through the one-particle field API."""
-
-    def __init__(self, packet: ManyBodyPacket):
-        self._p = packet.as_one_particle()
-        self.current_scale = self._p.current_scale
-        self.box_length = self._p.box_length
-
-    def current_at(self, t, x):
-        return self._p.current_at(t, x)
-
-    def current_grid(self, ts, xs):
-        return self._p.current_grid(ts, xs)
 
 
 def joint_density_rows(packet: ManyBodyPacket, leaves, grid: int = 33):

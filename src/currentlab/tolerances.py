@@ -21,7 +21,6 @@ class Tolerances:
     quad_tol: float = 1e-9         # relative tolerance of adaptive quadratures
     quad_max_panels: int = 16384   # hard cap on panels per segment (its
                                    # isqrt per axis of a 2-d quadrature)
-    tube_tol: float = 1e-6         # contract for flux-tube probability equality
     snap: float = 1e-12            # grid spacing of the exact geometric predicates
 
     def overridden(self, **kwargs) -> "Tolerances":

@@ -57,25 +57,6 @@ class SpacetimePoint:
             raise ValueError("spacetime point coordinates must be finite")
 
 
-@dataclass(frozen=True)
-class TwoVector:
-    """Contravariant 2-vector (v^0, v^1) in the (+,-) signature."""
-
-    v0: float
-    v1: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v0) and math.isfinite(self.v1)):
-            raise ValueError("vector components must be finite")
-
-    def minkowski_sq(self) -> float:
-        return self.v0 * self.v0 - self.v1 * self.v1
-
-    def lowered(self) -> tuple:
-        """Covariant components (v_0, v_1) = (v^0, -v^1)."""
-        return (self.v0, -self.v1)
-
-
 def classify_components(v0: float, v1: float, scale: float = 1.0,
                         tolerances: Tolerances = DEFAULT) -> CausalClass:
     """Causal class of a contravariant 2-vector given a reference scale.
@@ -91,11 +72,6 @@ def classify_components(v0: float, v1: float, scale: float = 1.0,
     if q > 0.0:
         return CausalClass.TIMELIKE_FUTURE if v0 > 0.0 else CausalClass.TIMELIKE_PAST
     return CausalClass.SPACELIKE
-
-
-def classify(v: TwoVector, scale: float = 1.0,
-             tolerances: Tolerances = DEFAULT) -> CausalClass:
-    return classify_components(v.v0, v.v1, scale, tolerances)
 
 
 def classify_array(j0, j1, scale: float, tolerances: Tolerances = DEFAULT):
@@ -137,8 +113,8 @@ class Mode:
         return math.hypot(self.wavenumber(box_length), mass)
 
 
-class _ModeBilinear:
-    """Shared evaluation engine for currents of positive-frequency mode sums.
+class CurrentField:
+    """Conserved current of a positive-frequency mode sum on the periodic box.
 
     Everything a current needs is a Gram-weighted bilinear in the per-mode
     amplitudes u_j(t,x) = c_j exp(-i(omega_j t - k_j x)):
@@ -147,11 +123,9 @@ class _ModeBilinear:
 
     with G = 1 for a scalar packet and G[j,l] = -(eps_j* . eps_l) for the
     vector variant. Marginal currents of many-body packets reduce to the same
-    form with an effective Gram matrix, so they reuse this class as well.
+    form with an effective Gram matrix. A field whose current or divergence
+    scale is below the smallest normal float raises ZeroNormError.
     """
-
-    __slots__ = ("mass", "box_length", "harmonics", "coeffs", "k", "omega",
-                 "w0", "w1", "wdiv", "current_scale", "divergence_scale")
 
     def __init__(self, mass, box_length, harmonics, coeffs, gram):
         self.mass = float(mass)
@@ -216,9 +190,17 @@ class _ModeBilinear:
         return np.einsum("pj,jl,pl->p", u.conj(), self.wdiv, u).real
 
     def total_flux(self) -> float:
+        """Integral of j^0 over one box period (conserved, slice independent)."""
         # cross terms integrate to zero over the box, so only the diagonal survives
         diag = np.real(np.diagonal(self.w0))
         return self.box_length * float(diag @ (np.abs(self.coeffs) ** 2))
+
+    def _unit_flux_factor(self) -> float:
+        """The factor that scales the amplitudes to unit total flux."""
+        flux = self.total_flux()
+        if not flux > 0.0:
+            raise ZeroNormError(f"total flux {flux} is not positive")
+        return 1.0 / math.sqrt(flux)
 
 
 def _canonical_modes(modes):
@@ -232,74 +214,35 @@ def _canonical_modes(modes):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarWavePacket:
+class ScalarWavePacket(CurrentField):
     """Finite sum of positive-frequency scalar modes on the periodic box."""
 
-    mass: float
-    box_length: float
-    modes: tuple
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass >= 0.0):
+    def __init__(self, mass: float, box_length: float, modes):
+        if not (math.isfinite(mass) and mass >= 0.0):
             raise ValueError("mass must be finite and non-negative")
-        if not (math.isfinite(self.box_length) and self.box_length > 0.0):
+        if not (math.isfinite(box_length) and box_length > 0.0):
             raise ValueError("box_length must be finite and positive")
-        canon = _canonical_modes(self.modes)
+        canon = _canonical_modes(modes)
         if not canon:
             raise ZeroNormError("packet has no mode with a nonzero coefficient")
-        if self.mass == 0.0 and any(m.harmonic == 0 for m in canon):
+        if mass == 0.0 and any(m.harmonic == 0 for m in canon):
             raise ValueError("harmonic 0 is forbidden for a massless packet "
                              "(its frequency would vanish)")
-        object.__setattr__(self, "modes", canon)
-        harmonics = [m.harmonic for m in canon]
-        coeffs = [m.coeff for m in canon]
-        gram = np.ones((len(canon), len(canon)))
-        engine = _ModeBilinear(self.mass, self.box_length, harmonics, coeffs, gram)
-        object.__setattr__(self, "_engine", engine)
-
-    # -- field evaluation ---------------------------------------------------
+        self.modes = canon
+        super().__init__(mass, box_length, [m.harmonic for m in canon],
+                         [m.coeff for m in canon],
+                         np.ones((len(canon), len(canon))))
 
     def psi_at(self, t: float, x: float) -> complex:
-        return complex(np.sum(self._engine.u_at(t, x)))
+        return complex(np.sum(self.u_at(t, x)))
 
     def gradient_at(self, t: float, x: float) -> tuple:
         """Covariant gradient (d_t psi, d_x psi)."""
-        e = self._engine
-        u = e.u_at(t, x)
-        return (complex(np.sum(-1j * e.omega * u)), complex(np.sum(1j * e.k * u)))
-
-    def current_at(self, t: float, x: float) -> tuple:
-        return self._engine.current_at(t, x)
-
-    def current_grid(self, ts, xs) -> tuple:
-        return self._engine.current_grid(ts, xs)
-
-    def divergence_at(self, t: float, x: float) -> float:
-        return self._engine.divergence_at(t, x)
-
-    def divergence_grid(self, ts, xs):
-        return self._engine.divergence_grid(ts, xs)
-
-    # -- derived quantities -------------------------------------------------
-
-    @property
-    def current_scale(self) -> float:
-        return self._engine.current_scale
-
-    @property
-    def divergence_scale(self) -> float:
-        return self._engine.divergence_scale
-
-    def total_flux(self) -> float:
-        """Integral of j^0 over one box period (conserved, slice independent)."""
-        return self._engine.total_flux()
+        u = self.u_at(t, x)
+        return (complex(np.sum(-1j * self.omega * u)), complex(np.sum(1j * self.k * u)))
 
     def normalized(self) -> "ScalarWavePacket":
-        flux = self.total_flux()
-        if not flux > 0.0:
-            raise ZeroNormError(f"total flux {flux} is not positive")
-        s = 1.0 / math.sqrt(flux)
+        s = self._unit_flux_factor()
         return ScalarWavePacket(self.mass, self.box_length,
                                 tuple(Mode(m.harmonic, m.coeff * s) for m in self.modes))
 
@@ -312,8 +255,7 @@ def _minkowski4(a, b) -> complex:
     return complex(np.sum(_ETA4 * np.conj(a) * b))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorWavePacket:
+class VectorWavePacket(CurrentField):
     """Massless vector packet; each mode carries a complex 4-polarization.
 
     The density is only guaranteed sign-definite for polarizations with
@@ -322,21 +264,17 @@ class VectorWavePacket:
     guarantees of the probability machinery.
     """
 
-    box_length: float
-    modes: tuple
-    polarizations: tuple
-    mass: float = 0.0
-
-    def __post_init__(self):
-        if self.mass != 0.0:
+    def __init__(self, box_length: float, modes, polarizations,
+                 mass: float = 0.0):
+        if mass != 0.0:
             raise ValueError("vector packets are massless; mass must be 0")
-        if not (math.isfinite(self.box_length) and self.box_length > 0.0):
+        if not (math.isfinite(box_length) and box_length > 0.0):
             raise ValueError("box_length must be finite and positive")
-        if len(self.modes) != len(self.polarizations):
+        if len(modes) != len(polarizations):
             raise ValueError("one polarization 4-vector is required per mode")
         # fold coefficients into per-mode amplitude 4-vectors, then merge duplicates
         merged = {}
-        for mode, pol in zip(self.modes, self.polarizations):
+        for mode, pol in zip(modes, polarizations):
             if not isinstance(mode, Mode):
                 mode = Mode(int(mode[0]), complex(mode[1]))
             a = complex(mode.coeff) * np.asarray(pol, dtype=complex)
@@ -352,17 +290,16 @@ class VectorWavePacket:
         if any(h == 0 for h in harmonics):
             raise ValueError("harmonic 0 is forbidden for a massless packet")
         amps = [merged[h] for h in harmonics]
-        object.__setattr__(self, "modes", tuple(Mode(h, 1.0 + 0j) for h in harmonics))
-        object.__setattr__(self, "polarizations",
-                           tuple(tuple(a) for a in amps))
+        self.modes = tuple(Mode(h, 1.0 + 0j) for h in harmonics)
+        self.polarizations = tuple(tuple(a) for a in amps)
         gram = np.empty((len(amps), len(amps)), dtype=complex)
         for i, ai in enumerate(amps):
             for j, aj in enumerate(amps):
                 gram[i, j] = -_minkowski4(ai, aj)
         # built before the norm check, so an underflowing packet raises
         # ZeroNormError instead of warning about its underflowed norm first
-        engine = _ModeBilinear(0.0, self.box_length, harmonics,
-                               np.ones(len(amps), dtype=complex), gram)
+        super().__init__(0.0, box_length, harmonics,
+                         np.ones(len(amps), dtype=complex), gram)
         for h, a in zip(harmonics, amps):
             norm = _minkowski4(a, a).real
             if norm >= 0.0:
@@ -370,78 +307,24 @@ class VectorWavePacket:
                     f"mode harmonic {h}: polarization has non-negative Minkowski "
                     f"norm {norm:.3g}; the density may be sign-indefinite",
                     stacklevel=2)
-        object.__setattr__(self, "_engine", engine)
 
     def psi_at(self, t: float, x: float):
         """The four complex field components psi^alpha at (t, x)."""
-        e = self._engine
-        phases = np.exp(-1j * (e.omega * t - e.k * x))
-        amps = np.asarray(self.polarizations, dtype=complex)
-        return phases @ amps
+        return self.u_at(t, x) @ np.asarray(self.polarizations, dtype=complex)
 
     def gradient_at(self, t: float, x: float):
         """Covariant gradients (d_t psi^alpha, d_x psi^alpha), two 4-vectors."""
-        e = self._engine
-        phases = np.exp(-1j * (e.omega * t - e.k * x))
+        u = self.u_at(t, x)
         amps = np.asarray(self.polarizations, dtype=complex)
-        return ((-1j * e.omega * phases) @ amps, (1j * e.k * phases) @ amps)
-
-    def current_at(self, t: float, x: float) -> tuple:
-        return self._engine.current_at(t, x)
-
-    def current_grid(self, ts, xs) -> tuple:
-        return self._engine.current_grid(ts, xs)
-
-    def divergence_at(self, t: float, x: float) -> float:
-        return self._engine.divergence_at(t, x)
-
-    def divergence_grid(self, ts, xs):
-        return self._engine.divergence_grid(ts, xs)
-
-    @property
-    def current_scale(self) -> float:
-        return self._engine.current_scale
-
-    @property
-    def divergence_scale(self) -> float:
-        return self._engine.divergence_scale
-
-    def total_flux(self) -> float:
-        return self._engine.total_flux()
+        return ((-1j * self.omega * u) @ amps, (1j * self.k * u) @ amps)
 
     def normalized(self) -> "VectorWavePacket":
-        flux = self.total_flux()
-        if not flux > 0.0:
-            raise ZeroNormError(f"total flux {flux} is not positive")
-        s = 1.0 / math.sqrt(flux)
+        s = self._unit_flux_factor()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return VectorWavePacket(
                 self.box_length, self.modes,
                 tuple(tuple(s * complex(c) for c in pol) for pol in self.polarizations))
-
-
-# -- module-level operations ------------------------------------------------
-
-def evaluate_psi(packet: ScalarWavePacket, p: SpacetimePoint) -> complex:
-    return packet.psi_at(p.t, p.x)
-
-
-def evaluate_gradient(packet: ScalarWavePacket, p: SpacetimePoint) -> tuple:
-    return packet.gradient_at(p.t, p.x)
-
-
-def current(packet, p: SpacetimePoint) -> TwoVector:
-    j0, j1 = packet.current_at(p.t, p.x)
-    return TwoVector(j0, j1)
-
-
-def divergence(packet, p: SpacetimePoint) -> float:
-    return packet.divergence_at(p.t, p.x)
-
-
-def normalize(packet):
-    return packet.normalized()
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,9 +347,6 @@ class ClassificationMap:
         for c in self.classes:
             out[c.value] += 1
         return out
-
-    def class_at(self, i: int, j: int) -> CausalClass:
-        return self.classes[i * self.n_x + j]
 
 
 def classification_map(packet, t_range, x_range, n_t: int, n_x: int,

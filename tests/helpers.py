@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from currentlab import DEFAULT, Mode, ScalarWavePacket, normalize, trace_curve
+from currentlab import DEFAULT, Mode, ScalarWavePacket, trace_curve
 from currentlab.scenarios import SKEWED_SEED_T
 
 TWO_PI = 2.0 * math.pi
@@ -21,7 +21,7 @@ def make_packet(harmonic_coeffs, mass=1.0, box_length=TWO_PI,
                 unit_flux=True):
     packet = ScalarWavePacket(mass, box_length,
                               [Mode(h, c) for h, c in harmonic_coeffs])
-    return normalize(packet) if unit_flux else packet
+    return packet.normalized() if unit_flux else packet
 
 
 def random_packet(rng, max_modes=8, mass=None, unit_flux=True):

@@ -80,7 +80,7 @@ def test_trace_writes_curves(tmp_path):
     with open(out / "trace_summary.json") as fh:
         summary = json.load(fh)
     assert len(summary["curves"]) == 32
-    assert summary["seedErrors"] == []
+    assert list(summary) == ["curves"]
     assert all(c["termination"] == "range_end" for c in summary["curves"])
 
 
@@ -164,17 +164,6 @@ def test_manybody_single_particle(tmp_path):
 
 # -- determinism -------------------------------------------------------------
 
-def test_threads_do_not_change_bytes(tmp_path):
-    _, out1 = run(tmp_path, "foliate", "plane-wave", "--threads", "1")
-    out2 = tmp_path / "other"
-    main(["foliate", "--config", "plane-wave", "--out", str(out2),
-          "--threads", "8"])
-    files1 = sorted(os.listdir(out1))
-    assert files1 == sorted(os.listdir(out2))
-    for f in files1:
-        assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
-
-
 def test_same_seed_same_tubes_different_seed_differs(tmp_path):
     _, out1 = run(tmp_path, "conserve", "plane-wave", "--seed", "7")
     out2 = tmp_path / "again"
@@ -248,9 +237,10 @@ def test_conserve_leaf_validation(tmp_path, capsys):
 
 
 def test_bad_cli_numbers(tmp_path, capsys):
-    code = main(["classify", "--config", "plane-wave", "--threads", "0"])
-    assert code == 2
-    assert "threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--config", "plane-wave", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 0" in capsys.readouterr().err
     code = main(["classify", "--config", "plane-wave", "--seed", "-1"])
     assert code == 2
     assert "seed" in capsys.readouterr().err

@@ -142,6 +142,8 @@ def test_signed_delta_s_for_rigid_stacks():
      "manybody.n:"),
     (lambda d: d.update(tolerances={"bogus": 1.0}),
      "tolerances.bogus: unknown tolerance"),
+    (lambda d: d.update(tolerances={"tube_tol": 1e-6}),
+     "tolerances.tube_tol: unknown tolerance"),
     (lambda d: d.update(tolerances={"quad_max_panels": 2.5}),
      "tolerances.quad_max_panels: expected an integer"),
     (lambda d: d.update(tolerances={"quad_max_panels": 0}),

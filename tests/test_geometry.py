@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from currentlab.errors import DegenerateGeometryError
 from currentlab.geometry import (LeafGeometry, _candidate_pairs,
-                                 _orient_signs, leaf_crossings, on_segment,
+                                 _orient_signs, leaf_crossings,
                                  orient, orient_exact, snap_to_grid)
 
 from helpers import TWO_PI
@@ -114,14 +114,6 @@ def test_candidate_pairs_match_scalar_search():
     got = list(zip(*(v.tolist() for v in _candidate_pairs(cti, cxi, leaf))))
     assert got == want
     assert len({shift for _, shift, _ in want}) >= 3
-
-
-def test_on_segment_closed_endpoints():
-    assert on_segment(0, 0, 10, 10, 5, 5)
-    assert on_segment(0, 0, 10, 10, 0, 0)
-    assert on_segment(0, 0, 10, 10, 10, 10)
-    assert not on_segment(0, 0, 10, 10, 11, 11)   # collinear but outside
-    assert not on_segment(0, 0, 10, 10, 5, 6)
 
 
 def test_snap_to_grid_rounds_to_nearest():

@@ -8,8 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from currentlab import (CausalClass, Mode, ScalarWavePacket, SpacetimePoint,
                         VectorWavePacket, ZeroNormError, classification_map,
-                        classify_components, divergence, evaluate_gradient,
-                        evaluate_psi, normalize)
+                        classify_components)
 
 from helpers import TWO_PI, make_packet, random_packet
 
@@ -57,7 +56,7 @@ def test_psi_matches_direct_mode_sum():
         for _ in range(20):
             t = float(rng.uniform(-5, 5))
             x = float(rng.uniform(-1, 8))
-            got = evaluate_psi(packet, SpacetimePoint(t, x))
+            got = packet.psi_at(t, x)
             want = mode_sum_psi(packet, t, x)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -76,7 +75,7 @@ def test_gradient_matches_finite_differences():
         packet = random_packet(rng, unit_flux=False)
         t = float(rng.uniform(-3, 3))
         x = float(rng.uniform(0, TWO_PI))
-        gt, gx = evaluate_gradient(packet, SpacetimePoint(t, x))
+        gt, gx = packet.gradient_at(t, x)
         ft, fx = fd_gradient(packet, t, x)
         scale = max(1.0, abs(gt), abs(gx))
         assert abs(gt - ft) < 1e-6 * scale
@@ -106,7 +105,7 @@ def test_divergence_vanishes_closed_form_and_fd():
         for _ in range(10):
             p = SpacetimePoint(float(rng.uniform(-4, 4)),
                                float(rng.uniform(-1, 7)))
-            assert abs(divergence(packet, p)) < 1e-12 * packet.divergence_scale
+            assert abs(packet.divergence_at(p.t, p.x)) < 1e-12 * packet.divergence_scale
             assert abs(fd_current_divergence(packet, p.t, p.x)) \
                 < 1e-6 * packet.current_scale
 
@@ -114,7 +113,7 @@ def test_divergence_vanishes_closed_form_and_fd():
 def test_normalize_gives_unit_total_flux():
     packet = make_packet([(0, 2.0), (4, 1.0 - 1.0j)], unit_flux=False)
     assert packet.total_flux() != pytest.approx(1.0)
-    unit = normalize(packet)
+    unit = packet.normalized()
     assert unit.total_flux() == pytest.approx(1.0, abs=1e-14)
 
 
