@@ -3,8 +3,9 @@
 Finite positive-frequency mode sums on a periodic 1+1 box, their conserved
 currents with causal classification, integral-curve congruences, hypersurface
 foliations with finite surface elements on null and timelike segments,
-flux/probability quadrature with flux-tube conservation checks, and
-symmetrized n-particle currents with marginals. The `lab` command drives
+flux and probability as differences of the closed-form stream function with
+flux-tube conservation checks, and symmetrized n-particle currents with
+marginals and two-particle probability quadrature. The `lab` command drives
 scenario pipelines that write deterministic CSV/JSON artifacts.
 """
 

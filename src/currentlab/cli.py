@@ -46,8 +46,9 @@ class RunWriter:
     def _path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def csv(self, name: str, header, rows) -> None:
-        self.files[name] = serialize.write_csv(self._path(name), header, rows)
+    def csv(self, name: str, header, rows=None, *, columns=None) -> None:
+        self.files[name] = serialize.write_csv(self._path(name), header, rows,
+                                               columns=columns)
 
     def json(self, name: str, obj) -> None:
         self.files[name] = serialize.write_json(self._path(name), obj)
@@ -146,7 +147,6 @@ def _congruence_summary(congruence) -> dict:
     for ci, curve in enumerate(congruence.curves):
         per_curve.append({
             "id": ci,
-            "traced": True,
             "nSamples": curve.n_samples,
             "sMin": float(curve.s[0]),
             "sMax": float(curve.s[-1]),
@@ -165,9 +165,8 @@ def cmd_classify(cfg: config.ScenarioConfig, writer: RunWriter,
     cmap = classification_map(packet, (g.t0, g.t1), (0.0, cfg.box_length),
                               g.n_t, g.n_x, cfg.tolerances)
     writer.csv("classification.csv", ["t", "x", "j0", "j1", "class"],
-               [(float(t), float(x), float(j0), float(j1), c.value)
-                for t, x, j0, j1, c in zip(cmap.t, cmap.x, cmap.j0, cmap.j1,
-                                           cmap.classes)])
+               columns=[cmap.t, cmap.x, cmap.j0, cmap.j1,
+                        [c.value for c in cmap.classes]])
     writer.json("summary.json", {
         "cells": cmap.counts(),
         "nT": g.n_t,
@@ -202,8 +201,7 @@ def cmd_foliate(cfg: config.ScenarioConfig, writer: RunWriter,
     writer.csv("curves.csv", _CURVE_HEADER,
                _curve_rows(packet, fol.congruence, cfg))
     report = fol.as_report()
-    report["flux"] = [flux(packet, leaf, cfg.tolerances)
-                      for leaf in fol.leaves]
+    report["flux"] = [flux(packet, leaf) for leaf in fol.leaves]
     writer.json("admissibility.json", report)
 
 

@@ -11,8 +11,9 @@ finite on null segments, where a unit normal and the induced volume factor
 separately blow up, and contracts to zero with the tangent by construction.
 The flux of the current through a leaf is then the ordinary line integral
 of j0 dx - j1 dt, which for any closed once-winding leaf equals the conserved
-total flux: the integrand is an exact differential of the stream function of
-the divergence-free current.
+total flux: the integrand is the exact differential of the stream function
+Phi of the divergence-free current (`CurrentField.stream_grid`). Flux and
+probability are therefore differences of Phi, with no quadrature.
 
 Foliations are built by advecting a seed leaf along the current flow;
 admissibility (each curve of a seed congruence crossing each leaf exactly
@@ -26,11 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, quadrature
-from .errors import (DegenerateSegmentError, GridError, NoIntersectionError)
+from . import flow
+from .errors import (DegenerateSegmentError, GridError, NoIntersectionError,
+                     QuadratureOverflowError)
 from .geometry import CrossingEvent, LeafGeometry, leaf_crossings
 from .tolerances import DEFAULT, Tolerances
-from .wavefield import CausalClass, SpacetimePoint, classify_components
+from .wavefield import (CausalClass, SpacetimePoint, classify_array,
+                        classify_components)
 
 
 @dataclass(eq=False)
@@ -67,9 +70,9 @@ class Hypersurface:
         self._lam_c = np.append(self.lam, 1.0)
         self._t_c = np.append(self.t, self.t[0])
         self._x_c = np.append(self.x, self.x[0] + self.box_length)
-        dt = np.diff(self._t_c)
-        dx = np.diff(self._x_c)
-        if np.any((dt == 0.0) & (dx == 0.0)):
+        self._dt = np.diff(self._t_c)
+        self._dx = np.diff(self._x_c)
+        if np.any((self._dt == 0.0) & (self._dx == 0.0)):
             raise ValueError("consecutive leaf nodes must be distinct")
         self._geom_cache = {}
 
@@ -194,34 +197,11 @@ def beta_example(beta: float) -> dict:
 # -- flux and probability ----------------------------------------------------
 
 
-def _segment_flux_integrand(packet, surface, i):
-    """Vectorized u -> (j0 dx - j1 dt) on segment i, u in [0, 1]."""
-    _, dt, dx = surface.segment(i)
-    t0 = float(surface._t_c[i])
-    x0 = float(surface._x_c[i])
-
-    def f(u):
-        ts = t0 + u * dt
-        xs = x0 + u * dx
-        j0, j1 = packet.current_grid(ts, xs)
-        return j0 * dx - j1 * dt
-
-    return f, dt, dx
-
-
-def flux(packet, surface: Hypersurface,
-         tolerances: Tolerances = DEFAULT) -> float:
-    """Signed flux of the current through the leaf, adaptive per segment."""
-    total = 0.0
-    scale = packet.current_scale
-    for i in range(surface.n_segments):
-        f, dt, dx = _segment_flux_integrand(packet, surface, i)
-        if dt == 0.0 and dx == 0.0:
-            raise DegenerateSegmentError(f"segment {i} has zero displacement")
-        floor = tolerances.quad_tol * scale * (abs(dx) + abs(dt))
-        total += quadrature.adaptive(f, 0.0, 1.0, tolerances.quad_tol, floor,
-                                     tolerances.quad_max_panels)
-    return total
+def flux(packet, surface: Hypersurface) -> float:
+    """Signed flux of the current through the leaf: the sum over segments of
+    the stream-function difference between their ends."""
+    phi = packet.stream_grid(surface._t_c, surface._x_c)
+    return float(np.sum(np.diff(phi)))
 
 
 def signed_density(packet, surface: Hypersurface, lam_val: float) -> float:
@@ -239,30 +219,106 @@ def probability_density(packet, surface: Hypersurface, lam_val: float) -> float:
     return abs(signed_density(packet, surface, lam_val))
 
 
+def segment_pieces(surface: Hypersurface, lam_range):
+    """Segments that overlap lam_range = (a, b), clamped to [0, 1].
+
+    Returns arrays (i, ua, ub): segment i is covered from ua to ub in its
+    local parameter u, with 0 <= ua < ub <= 1.
+    """
+    la = min(max(float(lam_range[0]), 0.0), 1.0)
+    lb = min(max(float(lam_range[1]), 0.0), 1.0)
+    lam_c = surface._lam_c
+    lo = np.maximum(la, lam_c[:-1])
+    hi = np.minimum(lb, lam_c[1:])
+    seg = np.flatnonzero(hi > lo)
+    width = lam_c[seg + 1] - lam_c[seg]
+    return seg, (lo[seg] - lam_c[seg]) / width, (hi[seg] - lam_c[seg]) / width
+
+
 def probability(packet, surface: Hypersurface, lam_range,
                 tolerances: Tolerances = DEFAULT) -> float:
-    """Integral of the probability density over lam_range = (a, b), a <= b."""
-    la, lb = float(lam_range[0]), float(lam_range[1])
-    la = min(max(la, 0.0), 1.0)
-    lb = min(max(lb, 0.0), 1.0)
-    if lb <= la:
+    """Integral of the probability density over lam_range = (a, b), a <= b.
+
+    Along a segment the signed density is g(u) = j0 dx - j1 dt, and its
+    integral between two parameters is the difference of the stream function
+    Phi. The probability is the sum of |Delta Phi| between the sign changes
+    of g, which are located on every piece of the range at once:
+
+    - an interval whose end values have one sign has no root if
+      |g_a| + |g_b| > M h or min(|g_a|, |g_b|) > M2 h^2 / 8, where M and M2
+      bound |g'| and |g''| and h is its length (the second test certifies
+      the stretches next to a double zero, where g ~ (u - u0)^2);
+    - any other interval is halved, so an interval whose ends differ in sign
+      is bisected down to its root, where the piece is split (the last step
+      is a secant);
+    - halving stops once M h <= 8 quad_tol current_scale (|dx| + |dt|). A
+      negative lobe hidden in such an interval has area at most M h^2 / 4,
+      so the sum misses at most 4 quad_tol current_scale (|dx| + |dt|) h
+      there, against |g| <= current_scale (|dx| + |dt|).
+
+    More than quad_max_panels intervals on one segment (a segment that runs
+    along a current line, where g vanishes but M does not) raise
+    QuadratureOverflowError.
+    """
+    seg, ua, ub = segment_pieces(surface, lam_range)
+    n = seg.size
+    if n == 0:
         return 0.0
-    total = 0.0
-    scale = packet.current_scale
-    lam_c = surface._lam_c
-    for i in range(surface.n_segments):
-        lo = max(la, float(lam_c[i]))
-        hi = min(lb, float(lam_c[i + 1]))
-        if hi <= lo:
-            continue
-        f, dt, dx = _segment_flux_integrand(packet, surface, i)
-        ua = (lo - float(lam_c[i])) / (float(lam_c[i + 1]) - float(lam_c[i]))
-        ub = (hi - float(lam_c[i])) / (float(lam_c[i + 1]) - float(lam_c[i]))
-        floor = tolerances.quad_tol * scale * (abs(dx) + abs(dt))
-        total += quadrature.adaptive(lambda u: np.abs(f(u)), ua, ub,
-                                     tolerances.quad_tol, floor,
-                                     tolerances.quad_max_panels)
-    return total
+    dt = surface._dt[seg]
+    dx = surface._dx[seg]
+    t0 = surface._t_c[seg]
+    x0 = surface._x_c[seg]
+    slope, bend = packet.density_bounds(dt, dx)
+    floor = (8.0 * tolerances.quad_tol * packet.current_scale
+             * (np.abs(dx) + np.abs(dt)))
+
+    def density(p, u):
+        j0, j1 = packet.current_grid(t0[p] + u * dt[p], x0[p] + u * dx[p])
+        return j0 * dx[p] - j1 * dt[p]
+
+    # live intervals as parallel arrays: piece, ends, density at the ends
+    p = np.arange(n)
+    a, b = ua, ub
+    g = density(np.concatenate([p, p]), np.concatenate([a, b]))
+    ga, gb = g[:p.size], g[p.size:]
+    counts = np.ones(n, dtype=np.int64)
+    done = []
+    while p.size:
+        h = b - a
+        reach = slope[p] * h
+        mid = 0.5 * (a + b)
+        sure = (ga * gb > 0.0) & (
+            (np.abs(ga) + np.abs(gb) > reach)
+            | (np.minimum(np.abs(ga), np.abs(gb)) > 0.125 * bend[p] * h * h))
+        # an interval at floating-point resolution cannot be halved
+        stop = sure | (reach <= floor[p]) | (mid <= a) | (mid >= b)
+        done.append((p[stop], a[stop], b[stop], ga[stop], gb[stop]))
+        split = ~stop
+        p, a, b, mid, ga, gb = (p[split], a[split], b[split], mid[split],
+                                ga[split], gb[split])
+        counts += np.bincount(p, minlength=n)
+        if counts.max() > tolerances.quad_max_panels:
+            i = int(seg[np.argmax(counts)])
+            raise QuadratureOverflowError(
+                f"sign of the density on segment {i} not resolved within "
+                f"{tolerances.quad_max_panels} intervals")
+        gm = density(p, mid)
+        p = np.concatenate([p, p])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        ga, gb = np.concatenate([ga, gm]), np.concatenate([gm, gb])
+    p, a, b, ga, gb = (np.concatenate(col) for col in zip(*done))
+    cross = (ga * gb <= 0.0) & (ga != gb)
+    roots = a[cross] + (b[cross] - a[cross]) * (
+        ga[cross] / (ga[cross] - gb[cross]))
+    # breakpoints of each piece in order: its ends and the roots inside it
+    which = np.concatenate([np.arange(n), np.arange(n), p[cross]])
+    u = np.concatenate([ua, ub, roots])
+    order = np.lexsort((u, which))
+    which, u = which[order], u[order]
+    phi = packet.stream_grid(t0[which] + u * dt[which],
+                             x0[which] + u * dx[which])
+    same = which[1:] == which[:-1]
+    return float(np.sum(np.abs(np.diff(phi))[same]))
 
 
 def probability_wrapped(packet, surface: Hypersurface, la: float, lb: float,
@@ -540,14 +596,13 @@ def leaf_rows(packet, leaves, tolerances: Tolerances = DEFAULT):
     """Per-node export rows: one row per (leaf, node) with the outgoing segment."""
     rows = []
     for li, leaf in enumerate(leaves):
-        for i in range(leaf.n_segments):
-            dlam, dt, dx = leaf.segment(i)
-            elem = surface_element(leaf, i, tolerances)
-            t = float(leaf.t[i])
-            x = float(leaf.x[i])
-            j0, j1 = packet.current_at(t, x)
-            ptilde = abs(j0 * dx - j1 * dt) / dlam
-            rows.append((li, float(leaf.lam[i]), t, x,
-                         elem.n_tilde_cov[0] / dlam, elem.n_tilde_cov[1] / dlam,
-                         j0, j1, ptilde, elem.seg_class.value))
+        dlam = np.diff(leaf._lam_c)
+        dt, dx = leaf._dt, leaf._dx
+        j0, j1 = packet.current_grid(leaf.t, leaf.x)
+        # the segment classes of surface_element, for the whole leaf at once
+        classes = classify_array(dt, dx, np.abs(dt) + np.abs(dx), tolerances)
+        columns = (leaf.lam, leaf.t, leaf.x, dx / dlam, -dt / dlam, j0, j1,
+                   np.abs(j0 * dx - j1 * dt) / dlam)
+        rows.extend((li, *values, c.value) for *values, c in
+                    zip(*(col.tolist() for col in columns), classes))
     return rows

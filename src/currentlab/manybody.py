@@ -385,26 +385,6 @@ def probability_density_n(packet: ManyBodyPacket, leaves, lams) -> float:
     return abs(float(val))
 
 
-def _segment_ranges(leaf, lam_range):
-    """Per-segment (i, ua, ub) pieces covering lam_range on one leaf."""
-    la, lb = float(lam_range[0]), float(lam_range[1])
-    la = min(max(la, 0.0), 1.0)
-    lb = min(max(lb, 0.0), 1.0)
-    pieces = []
-    if lb <= la:
-        return pieces
-    lam_c = leaf._lam_c
-    for i in range(leaf.n_segments):
-        lo = max(la, float(lam_c[i]))
-        hi = min(lb, float(lam_c[i + 1]))
-        if hi <= lo:
-            continue
-        width = float(lam_c[i + 1] - lam_c[i])
-        pieces.append((i, (lo - float(lam_c[i])) / width,
-                       (hi - float(lam_c[i])) / width))
-    return pieces
-
-
 def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
                   tolerances: Tolerances = DEFAULT) -> float:
     """Iterated quadrature of the joint density over per-leaf lambda ranges.
@@ -422,8 +402,8 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
         raise ArityMismatchError(
             "probability quadrature is implemented for n <= 2")
     leaf_a, leaf_b = leaves
-    pieces_a = _segment_ranges(leaf_a, lam_ranges[0])
-    pieces_b = _segment_ranges(leaf_b, lam_ranges[1])
+    pieces_a = list(zip(*foliation.segment_pieces(leaf_a, lam_ranges[0])))
+    pieces_b = list(zip(*foliation.segment_pieces(leaf_b, lam_ranges[1])))
     scale = packet.current_scale
     # the panel cap holds for the whole square, as it does for a segment
     panels_per_axis = math.isqrt(tolerances.quad_max_panels)
@@ -450,14 +430,30 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
     return total
 
 
+def _leaf_samples(leaf, lams):
+    """Points and per-unit-lambda surface elements at the leaf parameters
+    `lams`, placed as probability_density_n places a single one."""
+    lam = np.asarray(lams, dtype=float) % 1.0
+    lam_c = leaf._lam_c
+    i = np.clip(np.searchsorted(lam_c, lam, side="right") - 1, 0,
+                leaf.n_segments - 1)
+    dlam = lam_c[i + 1] - lam_c[i]
+    u = (lam - lam_c[i]) / dlam
+    t = leaf._t_c[i] + u * leaf._dt[i]
+    x = leaf._x_c[i] + u * leaf._dx[i]
+    return t, x, np.stack([leaf._dx[i], -leaf._dt[i]], axis=1) / dlam[:, None]
+
+
 def joint_density_rows(packet: ManyBodyPacket, leaves, grid: int = 33):
     """Uniform lambda x lambda sampling of the joint density for export."""
     if packet.n != 2:
         raise ArityMismatchError("joint-density export requires n = 2")
     lams = np.linspace(0.0, 1.0, grid)
-    rows = []
-    for l1 in lams:
-        for l2 in lams:
-            rows.append((float(l1), float(l2),
-                         probability_density_n(packet, leaves, (l1, l2))))
-    return rows
+    ta, xa, na = _leaf_samples(leaves[0], lams)
+    tb, xb, nb = _leaf_samples(leaves[1], lams)
+    first = np.repeat(np.arange(grid), grid)
+    second = np.tile(np.arange(grid), grid)
+    j = packet.current_pair_grid(ta[first], xa[first], tb[second], xb[second])
+    density = np.abs(np.einsum("pm,pn,pmn->p", na[first], nb[second], j))
+    return list(zip(lams[first].tolist(), lams[second].tolist(),
+                    density.tolist()))

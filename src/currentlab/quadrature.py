@@ -1,6 +1,8 @@
 """Adaptive composite Gauss-Legendre quadrature.
 
-Used for flux and probability integrals over hypersurface segments. Panels
+Used for two-particle probability integrals over pairs of leaf segments
+(one-particle flux and probability are differences of the stream function,
+`CurrentField.stream_grid`). Panels
 are doubled until the estimate changes by less than the requested relative
 tolerance (with an absolute floor so integrals that are genuinely zero do not
 trigger endless refinement), up to a hard panel cap per segment. An integral

@@ -93,18 +93,50 @@ def write_json(path, obj) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_csv(path, header, rows) -> str:
+def _column(column) -> tuple:
+    """A %-format spec and the values it renders for one column.
+
+    The cells come out as `_format_cell` renders them. A float array is
+    checked for finiteness at once (`%.17g` is `format_float`'s format); a
+    column of plain strings is checked once per distinct value; any other
+    column is rendered cell by cell.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise ValueError("non-finite number in serialized output")
+        return "%.17g", column.tolist()
+    column = list(column)
+    if all(type(v) is str for v in column):
+        for v in set(column):
+            _format_cell(v)
+        return "%s", column
+    return "%s", [_format_cell(v) for v in column]
+
+
+def write_csv(path, header, rows=None, *, columns=None) -> str:
     """Write a comma-separated table; returns the sha256 hex digest.
 
-    Cells are ints, floats, or plain strings; floats use 17 significant
-    digits so byte equality is a meaningful determinism check.
+    The table comes as `rows` (an iterable of row sequences) or as `columns`
+    (one sequence per header entry, all of one length); both give the same
+    bytes. Cells are ints, floats, or plain strings; floats use 17
+    significant digits so byte equality is a meaningful determinism check.
     """
     lines = [",".join(header)]
     ncol = len(header)
-    for row in rows:
-        if len(row) != ncol:
-            raise ValueError(f"row width {len(row)} != header width {ncol}")
-        lines.append(",".join(_format_cell(v) for v in row))
+    if columns is not None:
+        if rows is not None:
+            raise TypeError("write_csv takes rows or columns, not both")
+        if len(columns) != ncol:
+            raise ValueError(f"{len(columns)} columns != header width {ncol}")
+        specs, values = zip(*map(_column, columns))
+        if len({len(v) for v in values}) > 1:
+            raise ValueError("columns of unequal length")
+        lines.extend(map(",".join(specs).__mod__, zip(*values)))
+    else:
+        for row in rows:
+            if len(row) != ncol:
+                raise ValueError(f"row width {len(row)} != header width {ncol}")
+            lines.append(",".join(_format_cell(v) for v in row))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)

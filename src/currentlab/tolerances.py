@@ -18,9 +18,12 @@ class Tolerances:
     rk_tol: float = 1e-8           # per-step relative error of the curve integrator
     rk_hmin_factor: float = 1e-12  # minimum step as a fraction of the traced span
     stagnation_rel: float = 1e-8   # |j0|+|j1| cutoff, relative to the current scale
-    quad_tol: float = 1e-9         # relative tolerance of adaptive quadratures
-    quad_max_panels: int = 16384   # hard cap on panels per segment (its
-                                   # isqrt per axis of a 2-d quadrature)
+    quad_tol: float = 1e-9         # relative tolerance of two-particle
+                                   # quadrature; floor of the one-particle
+                                   # density sign search
+    quad_max_panels: int = 16384   # cap on the intervals of one segment in
+                                   # the sign search, its isqrt on the panels
+                                   # per axis of a two-particle quadrature
     snap: float = 1e-12            # grid spacing of the exact geometric predicates
 
     def overridden(self, **kwargs) -> "Tolerances":

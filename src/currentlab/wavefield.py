@@ -153,7 +153,19 @@ class CurrentField:
             raise ZeroNormError(
                 f"current scale {self.current_scale:.3g} or divergence scale "
                 f"{self.divergence_scale:.3g} is below the smallest normal float")
-        for name in ("harmonics", "coeffs", "k", "omega", "w0", "w1", "wdiv"):
+        # stream function Phi with j0 = dPhi/dx, j1 = -dPhi/dt: the diagonal
+        # drifts linearly, and an off-diagonal pair term is the bilinear times
+        # i G (omega_j+omega_l)/(k_j-k_l); the harmonics are distinct, so
+        # k_j != k_l off the diagonal
+        dk = np.subtract.outer(self.k, self.k)
+        np.fill_diagonal(dk, 1.0)
+        self.wphi = 1j * self.w0 / dk
+        np.fill_diagonal(self.wphi, 0.0)
+        weight = np.abs(self.coeffs) ** 2
+        self.phi_dx = float(np.real(np.diagonal(self.w0)) @ weight)
+        self.phi_dt = -float(np.real(np.diagonal(self.w1)) @ weight)
+        for name in ("harmonics", "coeffs", "k", "omega", "w0", "w1", "wdiv",
+                     "wphi"):
             getattr(self, name).setflags(write=False)
 
     def u_at(self, t: float, x: float):
@@ -189,11 +201,40 @@ class CurrentField:
         u = self.u_grid(ts, xs)
         return np.einsum("pj,jl,pl->p", u.conj(), self.wdiv, u).real
 
+    def stream_grid(self, ts, xs):
+        """Stream function at (ts, xs): j0 = dPhi/dx, j1 = -dPhi/dt.
+
+        The flux of the current through a path is the difference of Phi
+        between its ends. Phi(t, x + L) - Phi(t, x) is the total flux.
+        """
+        ts = np.asarray(ts, dtype=float).ravel()
+        xs = np.asarray(xs, dtype=float).ravel()
+        u = self.u_grid(ts, xs)
+        wave = np.einsum("pj,jl,pl->p", u.conj(), self.wphi, u).real
+        return self.phi_dx * xs + self.phi_dt * ts + wave
+
+    def density_bounds(self, dts, dxs) -> tuple:
+        """Bounds on |g'| and |g''| for g(u) = j0 dx - j1 dt along segments.
+
+        Segment s runs from some point by (dts[s], dxs[s]) over u in [0, 1].
+        A pair term of the bilinear has amplitude |c_j| |c_l| |w0 dx - w1 dt|
+        and its phase turns at the rate |(omega_j-omega_l) dt - (k_j-k_l) dx|;
+        each derivative multiplies it by that rate.
+        """
+        dts = np.asarray(dts, dtype=float)[:, None, None]
+        dxs = np.asarray(dxs, dtype=float)[:, None, None]
+        amp = np.abs(self.coeffs)
+        size = np.abs(self.w0 * dxs - self.w1 * dts)
+        rate = np.abs(np.subtract.outer(self.omega, self.omega) * dts
+                      - np.subtract.outer(self.k, self.k) * dxs)
+        slope = np.einsum("j,sjl,l->s", amp, size * rate, amp)
+        bend = np.einsum("j,sjl,l->s", amp, size * rate * rate, amp)
+        return slope, bend
+
     def total_flux(self) -> float:
         """Integral of j^0 over one box period (conserved, slice independent)."""
         # cross terms integrate to zero over the box, so only the diagonal survives
-        diag = np.real(np.diagonal(self.w0))
-        return self.box_length * float(diag @ (np.abs(self.coeffs) ** 2))
+        return self.box_length * self.phi_dx
 
     def _unit_flux_factor(self) -> float:
         """The factor that scales the amplitudes to unit total flux."""

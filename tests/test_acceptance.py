@@ -61,7 +61,7 @@ def test_criterion_01_conservation_identity():
 
 
 def test_criterion_02_unit_flux_on_every_admissible_leaf():
-    """Every leaf of every 8-leaf scenario foliation carries flux 1 +- 1e-6."""
+    """Every leaf of every 8-leaf scenario foliation has flux 1 +- 1e-12."""
     t0 = time.monotonic()
     worst = 0.0
     for name, (packet, fol) in _foliations().items():
@@ -69,7 +69,7 @@ def test_criterion_02_unit_flux_on_every_admissible_leaf():
             worst = max(worst, abs(flux(packet, leaf) - 1.0))
     elapsed = time.monotonic() - t0
     print(f"criterion 2: worst |flux - 1| = {worst:.3e} in {elapsed:.2f}s")
-    assert worst < 1e-6
+    assert worst < 1e-12
     assert elapsed < 30.0
 
 

@@ -81,6 +81,8 @@ def test_trace_writes_curves(tmp_path):
         summary = json.load(fh)
     assert len(summary["curves"]) == 32
     assert list(summary) == ["curves"]
+    assert all(sorted(c) == ["id", "nSamples", "sMax", "sMin", "termination"]
+               for c in summary["curves"])
     assert all(c["termination"] == "range_end" for c in summary["curves"])
 
 
@@ -256,13 +258,14 @@ def test_step_underflow_exits_three(tmp_path, capsys):
 
 
 def test_quadrature_overflow_exits_three(tmp_path, capsys):
-    cfg = scenarios.builtin("skewed")
-    cfg["foliation"]["nLeaves"] = 2
+    # flux needs no quadrature; two-particle probability still does
+    cfg = scenarios.builtin("product-pair")
     cfg["tolerances"] = {"quad_max_panels": 1}
-    code, _ = run(tmp_path, "foliate", write_config(tmp_path, cfg))
+    code, _ = run(tmp_path, "manybody", write_config(tmp_path, cfg))
     assert code == 3
     err = capsys.readouterr().err
-    assert "lab: numerical failure" in err and "1 panels" in err
+    assert "lab: numerical failure" in err
+    assert "within 1 panels per axis" in err
 
 
 def test_unreachable_leaf_exits_four(tmp_path, capsys):

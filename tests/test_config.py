@@ -263,6 +263,40 @@ def test_write_csv_layout_and_digest(tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_write_csv_columns_match_rows(tmp_path):
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([
+        rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200),
+        [0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1e16, 1e-5]])
+    ints = rng.integers(-1000, 1000, floats.size)
+    tags = [("null", "spacelike", "zero")[i % 3] for i in range(floats.size)]
+    header = ["v", "i", "tag", "w"]
+    columns = [floats, ints, tags, list(floats)]
+    by_rows = serialize.write_csv(tmp_path / "rows.csv", header,
+                                  zip(*columns))
+    by_columns = serialize.write_csv(tmp_path / "cols.csv", header,
+                                     columns=columns)
+    assert by_columns == by_rows
+    assert ((tmp_path / "cols.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
+
+
+def test_write_csv_rejects_bad_columns(tmp_path):
+    p = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        serialize.write_csv(p, ["a"], columns=[np.array([1.0, np.nan])])
+    with pytest.raises(ValueError):
+        serialize.write_csv(p, ["a", "b"], columns=[np.zeros(2)])
+    with pytest.raises(ValueError):
+        serialize.write_csv(p, ["a", "b"], columns=[np.zeros(2), ["x"]])
+    with pytest.raises(ValueError):
+        serialize.write_csv(p, ["a"], columns=[["ok", "has,comma"]])
+    with pytest.raises(ValueError):
+        serialize.write_csv(p, ["a"], columns=[[1.0, float("inf")]])
+    with pytest.raises(TypeError):
+        serialize.write_csv(p, ["a"], [(1.0,)], columns=[np.zeros(1)])
+
+
 def test_write_csv_rejects_bad_rows(tmp_path):
     p = tmp_path / "bad.csv"
     with pytest.raises(ValueError):

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from currentlab import (CausalClass, GridError, Hypersurface,
-                        NoIntersectionError, Termination, advect_leaf,
-                        assess_foliation, beta_example, flux, probability,
-                        probability_density, probability_wrapped,
-                        seed_congruence, signed_density, stack_leaves,
-                        surface_element, tube_conservation)
+                        NoIntersectionError, QuadratureOverflowError,
+                        Termination, advect_leaf, assess_foliation,
+                        beta_example, flux, probability, probability_density,
+                        probability_wrapped, seed_congruence, signed_density,
+                        stack_leaves, surface_element, tube_conservation)
+from currentlab.foliation import leaf_rows
 
-from helpers import TWO_PI, make_packet, random_packet
+from helpers import (TWO_PI, make_packet, probability_by_root_splitting,
+                     random_packet, random_pair_state,
+                     random_transverse_photon, segment_flux_by_quadrature)
 
 
 # -- leaf construction -------------------------------------------------------
@@ -130,7 +133,7 @@ def test_flux_equals_total_flux_on_any_winding_leaf():
                                     TWO_PI, 64),
             Hypersurface.from_graph(lambda x: 0.3 * math.cos(x), TWO_PI, 31),
         ]:
-            assert flux(packet, leaf) == pytest.approx(1.0, abs=2e-9)
+            assert flux(packet, leaf) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_flux_invariant_under_reparametrization_and_refinement():
@@ -140,10 +143,103 @@ def test_flux_invariant_under_reparametrization_and_refinement():
     re = leaf.reparametrized((np.arange(64) / 64) ** 2)
     assert flux(packet, re) == pytest.approx(base, abs=1e-12)
     fine = Hypersurface.from_graph(lambda x: 0.2 * math.sin(x), TWO_PI, 128)
-    assert flux(packet, fine) == pytest.approx(base, abs=2e-9)
+    assert flux(packet, fine) == pytest.approx(base, abs=1e-13)
+
+
+def _segment_stream_differences(packet, leaf):
+    return np.diff(packet.stream_grid(leaf._t_c, leaf._x_c))
+
+
+def test_stream_differences_match_segment_quadrature(scenario_foliations,
+                                                     scenario_packets):
+    """Per segment, Delta Phi is the quadrature of j0 dx - j1 dt."""
+    cases = [(scenario_packets["skewed"], leaf)
+             for leaf in scenario_foliations["skewed"].leaves[1:]]
+    rng = np.random.default_rng(8)
+    for field in (random_packet(rng), random_packet(rng),
+                  random_transverse_photon(rng),
+                  random_pair_state(rng).normalized().marginal_field(0)):
+        cases.append((field, Hypersurface.from_graph(
+            lambda x: 0.3 * math.sin(x + 1.0) - 0.2 * math.cos(2 * x),
+            TWO_PI, 16)))
+    worst = 0.0
+    for field, leaf in cases:
+        got = _segment_stream_differences(field, leaf)
+        want = [segment_flux_by_quadrature(field, leaf, i)
+                for i in range(leaf.n_segments)]
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst < 1e-14
+
+
+def test_leaf_rows_match_pointwise_current_and_elements(scenario_foliations,
+                                                        scenario_packets):
+    packet = scenario_packets["skewed"]
+    leaves = scenario_foliations["skewed"].leaves[:2]
+    rows = leaf_rows(packet, leaves)
+    assert len(rows) == sum(leaf.n_segments for leaf in leaves)
+    k = 0
+    for li, leaf in enumerate(leaves):
+        for i in range(leaf.n_segments):
+            row = rows[k]
+            k += 1
+            elem = surface_element(leaf, i)
+            dlam = elem.dlam
+            j0, j1 = packet.current_at(leaf.t[i], leaf.x[i])
+            assert row[:4] == (li, leaf.lam[i], leaf.t[i], leaf.x[i])
+            assert row[4:6] == (elem.n_tilde_cov[0] / dlam,
+                                elem.n_tilde_cov[1] / dlam)
+            assert row[6] == pytest.approx(j0, rel=1e-14, abs=1e-15)
+            assert row[7] == pytest.approx(j1, rel=1e-14, abs=1e-15)
+            assert row[9] == elem.seg_class.value
 
 
 # -- probability -------------------------------------------------------------
+
+@pytest.mark.parametrize("nodes", [7, 64])
+def test_probability_matches_root_splitting_oracle(scenario_packets, nodes):
+    """On a leaf where the skewed density changes sign, the sum of |Delta Phi|
+    between sign changes matches brentq roots to 1e-12."""
+    packet = scenario_packets["skewed"]
+    leaf = Hypersurface.from_graph(lambda x: 0.75 + 0.3 * math.sin(x),
+                                   TWO_PI, nodes)
+    rng = np.random.default_rng(nodes)
+    ranges = [(0.0, 1.0)] + [tuple(sorted(rng.uniform(0.0, 1.0, 2)))
+                             for _ in range(4)]
+    roots = 0
+    for lam_range in ranges:
+        want, n_roots = probability_by_root_splitting(packet, leaf, lam_range)
+        roots += n_roots
+        assert probability(packet, leaf, lam_range) == pytest.approx(
+            want, abs=1e-12)
+    assert roots >= 2
+    assert probability(packet, leaf, (0.0, 1.0)) > flux(packet, leaf) + 0.05
+
+
+def test_probability_across_a_double_zero(scenario_packets):
+    """The standing-wave density on a t-const leaf touches 0 (at x = pi/2 and
+    3 pi/2) without changing sign: the probability is the flux."""
+    packet = scenario_packets["standing-wave"]
+    for nodes in (64, 7):  # zeros on nodes, zeros inside segments
+        leaf = Hypersurface.t_const(0.0, TWO_PI, nodes)
+        assert probability(packet, leaf, (0.0, 1.0)) == pytest.approx(
+            1.0, abs=1e-12)
+        for cut in (0.25, 0.3, 0.75):
+            parts = (probability(packet, leaf, (0.0, cut))
+                     + probability(packet, leaf, (cut, 1.0)))
+            assert parts == pytest.approx(1.0, abs=1e-12)
+
+
+def test_probability_along_a_current_line_overflows():
+    """On x = 0 a parity-symmetric packet has j1 = 0, so a vertical segment
+    there carries no density while the slope bound does not vanish: the
+    sign search cannot certify it and stops at quad_max_panels intervals."""
+    packet = make_packet([(-2, 1.0), (-1, 0.5), (1, 0.5), (2, 1.0)])
+    leaf = Hypersurface([0.0, 0.1, 0.5], [0.0, 1.0, 1.0],
+                        [0.0, 0.0, math.pi], TWO_PI)
+    with pytest.raises(QuadratureOverflowError, match="segment 0"):
+        probability(packet, leaf, (0.0, 0.1))
+    assert probability(packet, leaf, (0.1, 1.0)) > 0.0
+
 
 def test_probability_additive_and_wrapped():
     packet = make_packet([(-5, 1.0), (0, 4.0), (5, 1.0)])

@@ -265,6 +265,20 @@ def test_joint_density_rows_shape_and_symmetry():
         assert v >= 0.0
 
 
+def test_joint_density_rows_match_pointwise_density():
+    """The vectorized export equals probability_density_n point by point."""
+    rng = np.random.default_rng(23)
+    mb = random_pair_state(rng).normalized()
+    leaves = [Hypersurface.t_const(0.2, TWO_PI, 16),
+              Hypersurface.from_graph(lambda x: 0.37 + 0.3 * math.sin(x),
+                                      TWO_PI, 11)]
+    rows = joint_density_rows(mb, leaves, grid=13)
+    assert len(rows) == 169
+    for l1, l2, v in rows:
+        want = probability_density_n(mb, leaves, (l1, l2))
+        assert v == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+
 def test_probability_argument_validation():
     mb2 = symmetrize([(1.0, (1, 2))], 2, 1.0, TWO_PI)
     leaf = Hypersurface.t_const(0.0, TWO_PI, 8)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -10,7 +11,9 @@ from currentlab import (CausalClass, Mode, ScalarWavePacket, SpacetimePoint,
                         VectorWavePacket, ZeroNormError, classification_map,
                         classify_components)
 
-from helpers import TWO_PI, make_packet, random_packet
+from helpers import (TWO_PI, make_packet, mp_current, mp_field, mp_stream,
+                     random_packet, random_pair_state,
+                     random_transverse_photon)
 
 
 def mode_sum_psi(packet, t, x):
@@ -115,6 +118,72 @@ def test_normalize_gives_unit_total_flux():
     assert packet.total_flux() != pytest.approx(1.0)
     unit = packet.normalized()
     assert unit.total_flux() == pytest.approx(1.0, abs=1e-14)
+
+
+def _stream_test_fields(rng):
+    return [random_packet(rng), random_packet(rng, mass=0.0),
+            random_transverse_photon(rng),
+            random_pair_state(rng).normalized().marginal_field(1)]
+
+
+def test_stream_function_period_is_total_flux():
+    rng = np.random.default_rng(31)
+    for field in _stream_test_fields(rng):
+        ts = rng.uniform(-3.0, 3.0, 20)
+        xs = rng.uniform(-3.0, 3.0, 20)
+        step = (field.stream_grid(ts, xs + field.box_length)
+                - field.stream_grid(ts, xs))
+        assert np.max(np.abs(step - field.total_flux())) < 1e-13
+
+
+def test_stream_function_derivatives_at_30_digits():
+    """d Phi/dx = j0 and -d Phi/dt = j1 in mpmath; the float Phi agrees."""
+    rng = np.random.default_rng(32)
+    with mpmath.workdps(30):
+        for field in _stream_test_fields(rng):
+            mpf = mp_field(field)
+            scale = mpmath.mpf(field.current_scale)
+            for _ in range(3):
+                t, x = (mpmath.mpf(float(v)) for v in rng.uniform(-3, 3, 2))
+                j0, j1 = mp_current(mpf, t, x)
+                d_x = mpmath.diff(lambda v: mp_stream(mpf, t, v), x)
+                d_t = mpmath.diff(lambda v: mp_stream(mpf, v, x), t)
+                assert abs(d_x - j0) < mpmath.mpf("1e-25") * scale
+                assert abs(-d_t - j1) < mpmath.mpf("1e-25") * scale
+                phi = field.stream_grid([float(t)], [float(x)])[0]
+                assert abs(phi - mp_stream(mpf, t, x)) < 1e-14 * (1 + scale)
+
+
+def _density_along(field, t0, x0, dt, dx):
+    def g(u):
+        j0, j1 = field.current_grid(t0 + u * dt, x0 + u * dx)
+        return j0 * dx - j1 * dt
+    return g
+
+
+def test_density_bounds_hold_and_are_attained():
+    """|g'| <= M and |g''| <= M2 along random segments; for two modes g is
+    one sinusoid in u and a segment over many of its periods attains both."""
+    rng = np.random.default_rng(33)
+    h = 1e-5
+    for field in _stream_test_fields(rng):
+        dts, dxs = rng.uniform(-1.0, 1.0, (2, 6))
+        slope, bend = field.density_bounds(dts, dxs)
+        for dt, dx, m1, m2 in zip(dts, dxs, slope, bend):
+            g = _density_along(field, 0.3, 1.1, dt, dx)
+            u = np.linspace(0.0, 1.0, 2001)
+            d1 = (g(u + h) - g(u - h)) / (2 * h)
+            d2 = (g(u + h) - 2 * g(u) + g(u - h)) / (h * h)
+            assert np.max(np.abs(d1)) <= m1 * (1 + 1e-6) + 1e-9
+            assert np.max(np.abs(d2)) <= m2 * (1 + 1e-3) + 1e-5
+    pair = make_packet([(1, 1.0), (4, 0.5 - 0.3j)])
+    slope, bend = pair.density_bounds([0.4], [30.0])
+    g = _density_along(pair, 0.0, 0.0, 0.4, 30.0)
+    u = np.linspace(0.0, 1.0, 200001)
+    d1 = (g(u + h) - g(u - h)) / (2 * h)
+    d2 = (g(u + h) - 2 * g(u) + g(u - h)) / (h * h)
+    assert np.max(np.abs(d1)) == pytest.approx(slope[0], rel=1e-4)
+    assert np.max(np.abs(d2)) == pytest.approx(bend[0], rel=1e-3)
 
 
 def test_zero_packet_rejected():
