@@ -13,9 +13,8 @@ from .errors import (ArityMismatchError, ConfigError, CurrentLabError,
                      DegenerateGeometryError, DegenerateSegmentError,
                      GridError, NoIntersectionError, QuadratureOverflowError,
                      StepUnderflowError, ZeroNormError)
-from .flow import (Congruence, IntegralCurve, Termination, crossing_count,
-                   crossing_events, seed_congruence, touch_count, trace_curve,
-                   trace_curve_two_sided)
+from .flow import (Congruence, IntegralCurve, Termination, crossing_events,
+                   seed_congruence, trace_curve)
 from .foliation import (Foliation, Hypersurface, SurfaceElement, TubeReport,
                         advect_leaf, assess_foliation, beta_example,
                         build_foliation, flux, probability,
@@ -41,10 +40,9 @@ __all__ = [
     "StepUnderflowError", "SurfaceElement", "Termination", "Tolerances",
     "TubeReport", "VectorWavePacket", "ZeroNormError",
     "advect_leaf", "assess_foliation", "beta_example", "build_foliation",
-    "classification_map", "classify_components", "crossing_count",
-    "crossing_events", "flux", "probability", "probability_density",
-    "probability_density_n", "probability_n", "probability_wrapped",
-    "seed_congruence", "signed_density", "stack_leaves", "surface_element",
-    "symmetrize", "touch_count", "trace_curve", "trace_curve_two_sided",
-    "tube_conservation",
+    "classification_map", "classify_components", "crossing_events", "flux",
+    "probability", "probability_density", "probability_density_n",
+    "probability_n", "probability_wrapped", "seed_congruence",
+    "signed_density", "stack_leaves", "surface_element", "symmetrize",
+    "trace_curve", "tube_conservation",
 ]

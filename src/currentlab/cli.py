@@ -46,9 +46,9 @@ class RunWriter:
     def _path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def csv(self, name: str, header, rows=None, *, columns=None) -> None:
-        self.files[name] = serialize.write_csv(self._path(name), header, rows,
-                                               columns=columns)
+    def csv(self, name: str, header, columns) -> None:
+        self.files[name] = serialize.write_csv(self._path(name), header,
+                                               columns)
 
     def json(self, name: str, obj) -> None:
         self.files[name] = serialize.write_json(self._path(name), obj)
@@ -128,18 +128,14 @@ _CURVE_HEADER = ["curve_id", "s", "t", "x_unwrapped", "x_mod_L", "j0", "j1",
                  "class"]
 
 
-def _curve_rows(packet, congruence, cfg: config.ScenarioConfig):
-    rows = []
-    scale = packet.current_scale
-    for ci, curve in enumerate(congruence.curves):
-        classes = classify_array(curve.j0, curve.j1, scale, cfg.tolerances)
-        for k in range(curve.n_samples):
-            rows.append((ci, float(curve.s[k]), float(curve.t[k]),
-                         float(curve.x[k]),
-                         float(curve.x[k] % cfg.box_length),
-                         float(curve.j0[k]), float(curve.j1[k]),
-                         classes[k].value))
-    return rows
+def _curve_columns(packet, congruence, cfg: config.ScenarioConfig):
+    curves = congruence.curves
+    s, t, x, j0, j1 = (np.concatenate([getattr(c, name) for c in curves])
+                       for name in ("s", "t", "x", "j0", "j1"))
+    ids = np.repeat(np.arange(len(curves)), [c.n_samples for c in curves])
+    classes = classify_array(j0, j1, packet.current_scale, cfg.tolerances)
+    return [ids, s, t, x, x % cfg.box_length, j0, j1,
+            [c.value for c in classes]]
 
 
 def _congruence_summary(congruence) -> dict:
@@ -165,8 +161,8 @@ def cmd_classify(cfg: config.ScenarioConfig, writer: RunWriter,
     cmap = classification_map(packet, (g.t0, g.t1), (0.0, cfg.box_length),
                               g.n_t, g.n_x, cfg.tolerances)
     writer.csv("classification.csv", ["t", "x", "j0", "j1", "class"],
-               columns=[cmap.t, cmap.x, cmap.j0, cmap.j1,
-                        [c.value for c in cmap.classes]])
+               [cmap.t, cmap.x, cmap.j0, cmap.j1,
+                [c.value for c in cmap.classes]])
     writer.json("summary.json", {
         "cells": cmap.counts(),
         "nT": g.n_t,
@@ -184,8 +180,8 @@ def cmd_trace(cfg: config.ScenarioConfig, writer: RunWriter,
                                  _default_span(f, cfg.box_length),
                                  s_back=0.5 * abs(f.delta_s),
                                  tolerances=cfg.tolerances)
-    writer.csv("curves.csv", _CURVE_HEADER, _curve_rows(packet, congruence,
-                                                        cfg))
+    writer.csv("curves.csv", _CURVE_HEADER,
+               _curve_columns(packet, congruence, cfg))
     writer.json("trace_summary.json", _congruence_summary(congruence))
 
 
@@ -199,7 +195,7 @@ def cmd_foliate(cfg: config.ScenarioConfig, writer: RunWriter,
                 "j1", "ptilde", "seg_class"],
                leaf_rows(packet, fol.leaves, cfg.tolerances))
     writer.csv("curves.csv", _CURVE_HEADER,
-               _curve_rows(packet, fol.congruence, cfg))
+               _curve_columns(packet, fol.congruence, cfg))
     report = fol.as_report()
     report["flux"] = [flux(packet, leaf) for leaf in fol.leaves]
     writer.json("admissibility.json", report)
@@ -310,16 +306,12 @@ def cmd_manybody(cfg: config.ScenarioConfig, writer: RunWriter,
 
     ts = np.full(n_x, t_slice)
     xs = np.arange(n_x) * (cfg.box_length / n_x)
-    marginal_rows = []
-    for slot in range(packet.n):
-        field = (packet.as_one_particle() if packet.n == 1
-                 else packet.marginal_field(slot))
-        j0, j1 = field.current_grid(ts, xs)
-        marginal_rows.extend(
-            (slot, float(t), float(x), float(a), float(b))
-            for t, x, a, b in zip(ts, xs, j0, j1))
+    fields = ([packet.as_one_particle()] if packet.n == 1
+              else [packet.marginal_field(slot) for slot in range(packet.n)])
+    j0, j1 = np.concatenate([f.current_grid(ts, xs) for f in fields], axis=1)
     writer.csv("marginals.csv", ["slot", "t", "x", "j0", "j1"],
-               marginal_rows)
+               [np.repeat(np.arange(packet.n), n_x), np.tile(ts, packet.n),
+                np.tile(xs, packet.n), j0, j1])
 
     summary = {
         "n": packet.n,

@@ -283,15 +283,6 @@ def trace_curve(fld, start, s_max: float, tolerances: Tolerances = DEFAULT,
     return trace_curves(fld, [t0], [x0], s_max, 0.0, tolerances, strict)[0]
 
 
-def trace_curve_two_sided(fld, start, s_back: float, s_forward: float,
-                          tolerances: Tolerances = DEFAULT,
-                          strict: bool = True) -> IntegralCurve:
-    """Trace through `start`, covering s in [-s_back, s_forward] with s=0 at start."""
-    t0, x0 = _start_coords(start)
-    return trace_curves(fld, [t0], [x0], s_forward, s_back, tolerances,
-                        strict)[0]
-
-
 @dataclass(eq=False)
 class Congruence:
     """Curves seeded at equally spaced leaf parameters of one seed surface."""
@@ -327,14 +318,3 @@ def crossing_events(curve: IntegralCurve, surface,
     leaf = surface.leaf_geometry(tolerances.snap)
     return geometry.leaf_crossings(curve.t, curve.x, leaf)
 
-
-def crossing_count(curve: IntegralCurve, surface,
-                   tolerances: Tolerances = DEFAULT) -> int:
-    """Winding-aware number of leaf crossings; tangential touches count once."""
-    return len(crossing_events(curve, surface, tolerances))
-
-
-def touch_count(curve: IntegralCurve, surface,
-                tolerances: Tolerances = DEFAULT) -> int:
-    return sum(1 for ev in crossing_events(curve, surface, tolerances)
-               if ev.kind == "touch")

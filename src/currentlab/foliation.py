@@ -592,17 +592,22 @@ def tube_conservation(packet, leaf_a: Hypersurface, range_a,
 # -- export ------------------------------------------------------------------
 
 
-def leaf_rows(packet, leaves, tolerances: Tolerances = DEFAULT):
-    """Per-node export rows: one row per (leaf, node) with the outgoing segment."""
-    rows = []
-    for li, leaf in enumerate(leaves):
-        dlam = np.diff(leaf._lam_c)
-        dt, dx = leaf._dt, leaf._dx
-        j0, j1 = packet.current_grid(leaf.t, leaf.x)
-        # the segment classes of surface_element, for the whole leaf at once
-        classes = classify_array(dt, dx, np.abs(dt) + np.abs(dx), tolerances)
-        columns = (leaf.lam, leaf.t, leaf.x, dx / dlam, -dt / dlam, j0, j1,
-                   np.abs(j0 * dx - j1 * dt) / dlam)
-        rows.extend((li, *values, c.value) for *values, c in
-                    zip(*(col.tolist() for col in columns), classes))
-    return rows
+def leaf_rows(packet, leaves, tolerances: Tolerances = DEFAULT) -> list:
+    """Per-node export table, returned as columns: one row per (leaf, node)
+    with the node's outgoing segment.
+
+    The columns are, in order, leaf id, lambda, t, x, the two components
+    of ntilde per unit lambda, j0, j1, ptilde and the segment class.
+    """
+    dlam = np.concatenate([np.diff(leaf._lam_c) for leaf in leaves])
+    lam, t, x, dt, dx = (np.concatenate([getattr(leaf, name)
+                                         for leaf in leaves])
+                         for name in ("lam", "t", "x", "_dt", "_dx"))
+    j0, j1 = np.concatenate([packet.current_grid(leaf.t, leaf.x)
+                             for leaf in leaves], axis=1)
+    # the segment classes of surface_element, for all segments at once
+    classes = classify_array(dt, dx, np.abs(dt) + np.abs(dx), tolerances)
+    ids = np.repeat(np.arange(len(leaves)), [leaf.n_segments
+                                             for leaf in leaves])
+    return [ids, lam, t, x, dx / dlam, -dt / dlam, j0, j1,
+            np.abs(j0 * dx - j1 * dt) / dlam, [c.value for c in classes]]

@@ -445,7 +445,8 @@ def _leaf_samples(leaf, lams):
 
 
 def joint_density_rows(packet: ManyBodyPacket, leaves, grid: int = 33):
-    """Uniform lambda x lambda sampling of the joint density for export."""
+    """Uniform lambda x lambda sampling of the joint density for export,
+    returned as the columns lambda1, lambda2 and ptilde."""
     if packet.n != 2:
         raise ArityMismatchError("joint-density export requires n = 2")
     lams = np.linspace(0.0, 1.0, grid)
@@ -455,5 +456,4 @@ def joint_density_rows(packet: ManyBodyPacket, leaves, grid: int = 33):
     second = np.tile(np.arange(grid), grid)
     j = packet.current_pair_grid(ta[first], xa[first], tb[second], xb[second])
     density = np.abs(np.einsum("pm,pn,pmn->p", na[first], nb[second], j))
-    return list(zip(lams[first].tolist(), lams[second].tolist(),
-                    density.tolist()))
+    return [lams[first], lams[second], density]

@@ -3,7 +3,8 @@
 Every output byte is a pure function of the data. Floats are rendered with
 17 significant digits (round-trip exact for IEEE doubles), object keys are
 emitted in sorted order, line endings are LF, encoding is UTF-8. Non-finite
-numbers are rejected rather than silently encoded.
+numbers are rejected rather than silently encoded. A CSV table is handed
+over as columns and written a fixed number of rows at a time.
 """
 
 from __future__ import annotations
@@ -22,20 +23,6 @@ def format_float(v: float) -> str:
     if not math.isfinite(v):
         raise ValueError("non-finite number in serialized output")
     return format(v, ".17g")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        if any(c in v for c in ',"\r\n'):
-            raise ValueError(f"CSV cell needs quoting, refusing: {v!r}")
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        raise ValueError("booleans have no CSV rendering here")
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    raise TypeError(f"unsupported CSV cell type {type(v).__name__}")
 
 
 def _emit(obj, parts: list, indent: int) -> None:
@@ -93,51 +80,61 @@ def write_json(path, obj) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _column(column) -> tuple:
-    """A %-format spec and the values it renders for one column.
+# rows formatted and hashed per chunk: the text of a whole table is never
+# held at once
+CHUNK_ROWS = 4096
 
-    The cells come out as `_format_cell` renders them. A float array is
-    checked for finiteness at once (`%.17g` is `format_float`'s format); a
-    column of plain strings is checked once per distinct value; any other
-    column is rendered cell by cell.
+
+def _column_format(column) -> str:
+    """The %-format of one column, after checking every cell it holds.
+
+    A column is a 1-D float array (`%.17g`, `format_float`'s format, all
+    finite), a 1-D integer array (`%d`) or a list of plain strings, none
+    of which needs CSV quoting.
     """
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        if not np.isfinite(column).all():
-            raise ValueError("non-finite number in serialized output")
-        return "%.17g", column.tolist()
-    column = list(column)
-    if all(type(v) is str for v in column):
+    if isinstance(column, np.ndarray) and column.ndim == 1:
+        if column.dtype.kind == "f":
+            if not np.isfinite(column).all():
+                raise ValueError("non-finite number in serialized output")
+            return "%.17g"
+        if column.dtype.kind in "iu":
+            return "%d"
+    elif isinstance(column, list) and all(type(v) is str for v in column):
         for v in set(column):
-            _format_cell(v)
-        return "%s", column
-    return "%s", [_format_cell(v) for v in column]
+            if any(c in v for c in ',"\r\n'):
+                raise ValueError(f"CSV cell needs quoting, refusing: {v!r}")
+        return "%s"
+    kind = getattr(column, "dtype", type(column).__name__)
+    raise TypeError(f"unsupported CSV column type {kind}")
 
 
-def write_csv(path, header, rows=None, *, columns=None) -> str:
+def write_csv(path, header, columns) -> str:
     """Write a comma-separated table; returns the sha256 hex digest.
 
-    The table comes as `rows` (an iterable of row sequences) or as `columns`
-    (one sequence per header entry, all of one length); both give the same
-    bytes. Cells are ints, floats, or plain strings; floats use 17
-    significant digits so byte equality is a meaningful determinism check.
+    `columns` holds one column per header entry, all of one length; see
+    `_column_format` for what a column may be. Floats use 17 significant
+    digits so byte equality is a meaningful determinism check. Every cell
+    is checked before the file is opened, so a rejected table leaves no
+    file behind.
     """
-    lines = [",".join(header)]
-    ncol = len(header)
-    if columns is not None:
-        if rows is not None:
-            raise TypeError("write_csv takes rows or columns, not both")
-        if len(columns) != ncol:
-            raise ValueError(f"{len(columns)} columns != header width {ncol}")
-        specs, values = zip(*map(_column, columns))
-        if len({len(v) for v in values}) > 1:
-            raise ValueError("columns of unequal length")
-        lines.extend(map(",".join(specs).__mod__, zip(*values)))
-    else:
-        for row in rows:
-            if len(row) != ncol:
-                raise ValueError(f"row width {len(row)} != header width {ncol}")
-            lines.append(",".join(_format_cell(v) for v in row))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if len(columns) != len(header):
+        raise ValueError(
+            f"{len(columns)} columns != header width {len(header)}")
+    line = ",".join(map(_column_format, columns)) + "\n"
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns of unequal length")
+    n_rows = len(columns[0]) if columns else 0
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+
+        put(",".join(header) + "\n")
+        for lo in range(0, n_rows, CHUNK_ROWS):
+            cells = [c[lo:lo + CHUNK_ROWS] for c in columns]
+            put("".join(map(line.__mod__, zip(*(
+                c.tolist() if isinstance(c, np.ndarray) else c
+                for c in cells)))))
+    return digest.hexdigest()

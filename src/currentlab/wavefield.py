@@ -64,14 +64,7 @@ def classify_components(v0: float, v1: float, scale: float = 1.0,
     Zero wins over Null: a vector smaller than zero_rel*scale in the 1-norm is
     reported Zero regardless of its Minkowski square.
     """
-    if abs(v0) + abs(v1) < tolerances.zero_rel * scale:
-        return CausalClass.ZERO
-    q = v0 * v0 - v1 * v1
-    if abs(q) < tolerances.class_rel * (v0 * v0 + v1 * v1):
-        return CausalClass.NULL
-    if q > 0.0:
-        return CausalClass.TIMELIKE_FUTURE if v0 > 0.0 else CausalClass.TIMELIKE_PAST
-    return CausalClass.SPACELIKE
+    return classify_array([v0], [v1], scale, tolerances)[0]
 
 
 def classify_array(j0, j1, scale: float, tolerances: Tolerances = DEFAULT):
@@ -79,16 +72,14 @@ def classify_array(j0, j1, scale: float, tolerances: Tolerances = DEFAULT):
     j0 = np.asarray(j0, dtype=float)
     j1 = np.asarray(j1, dtype=float)
     q = j0 * j0 - j1 * j1
-    out = np.empty(j0.shape, dtype=object)
+    out = np.full(j0.shape, CausalClass.SPACELIKE, dtype=object)
     zero = (np.abs(j0) + np.abs(j1)) < tolerances.zero_rel * scale
     null = ~zero & (np.abs(q) < tolerances.class_rel * (j0 * j0 + j1 * j1))
-    tlf = ~zero & ~null & (q > 0.0) & (j0 > 0.0)
-    tlp = ~zero & ~null & (q > 0.0) & (j0 <= 0.0)
+    timelike = ~zero & ~null & (q > 0.0)
     out[zero] = CausalClass.ZERO
     out[null] = CausalClass.NULL
-    out[tlf] = CausalClass.TIMELIKE_FUTURE
-    out[tlp] = CausalClass.TIMELIKE_PAST
-    out[~zero & ~null & (q <= 0.0)] = CausalClass.SPACELIKE
+    out[timelike & (j0 > 0.0)] = CausalClass.TIMELIKE_FUTURE
+    out[timelike & (j0 <= 0.0)] = CausalClass.TIMELIKE_PAST
     return out
 
 

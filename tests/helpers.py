@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from currentlab import (DEFAULT, Mode, ScalarWavePacket, VectorWavePacket,
-                        quadrature, trace_curve)
+                        quadrature, serialize, trace_curve)
 from currentlab.foliation import segment_pieces
 from currentlab.scenarios import SKEWED_SEED_T
 
@@ -171,3 +171,26 @@ def mp_stream(mpf, t, x):
                 phi += mpmath.re(1j * gram[a][b] * (omega[a] + omega[b])
                                  / (k[a] - k[b]) * mpmath.conj(u[a]) * u[b])
     return phi
+
+
+def format_cell(v) -> str:
+    """Oracle rendering of one CSV cell: a plain string as it is, an int in
+    decimal, a float as `serialize.format_float` writes it."""
+    if isinstance(v, str):
+        if any(c in v for c in ',"\r\n'):
+            raise ValueError(f"CSV cell needs quoting, refusing: {v!r}")
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        raise ValueError("booleans have no CSV rendering here")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return serialize.format_float(v)
+    raise TypeError(f"unsupported CSV cell type {type(v).__name__}")
+
+
+def csv_bytes(header, rows) -> bytes:
+    """Oracle bytes of a CSV table given row by row: LF after every line."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_cell, row)) for row in rows)
+    return ("\n".join(lines) + "\n").encode("utf-8")

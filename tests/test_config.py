@@ -10,6 +10,8 @@ import pytest
 from currentlab import ConfigError, Tolerances
 from currentlab import config, scenarios, serialize
 
+from helpers import csv_bytes
+
 
 MINIMAL = {
     "name": "tiny",
@@ -254,7 +256,8 @@ def test_write_json_digest_matches_bytes(tmp_path):
 def test_write_csv_layout_and_digest(tmp_path):
     p = tmp_path / "out.csv"
     digest = serialize.write_csv(p, ["i", "v", "tag"],
-                                 [(1, 0.1, "a"), (2, -3.0, "b")])
+                                 [np.array([1, 2]), np.array([0.1, -3.0]),
+                                  ["a", "b"]])
     data = p.read_bytes()
     assert data == (b"i,v,tag\n"
                     b"1,0.10000000000000001,a\n"
@@ -264,46 +267,73 @@ def test_write_csv_layout_and_digest(tmp_path):
 
 
 def test_write_csv_columns_match_rows(tmp_path):
+    """The column writer gives the bytes of the row-by-row oracle."""
     rng = np.random.default_rng(3)
     floats = np.concatenate([
         rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200),
         [0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1e16, 1e-5]])
     ints = rng.integers(-1000, 1000, floats.size)
+    ints[-1] = np.iinfo(np.int64).min
     tags = [("null", "spacelike", "zero")[i % 3] for i in range(floats.size)]
     header = ["v", "i", "tag", "w"]
-    columns = [floats, ints, tags, list(floats)]
-    by_rows = serialize.write_csv(tmp_path / "rows.csv", header,
-                                  zip(*columns))
-    by_columns = serialize.write_csv(tmp_path / "cols.csv", header,
-                                     columns=columns)
-    assert by_columns == by_rows
-    assert ((tmp_path / "cols.csv").read_bytes()
-            == (tmp_path / "rows.csv").read_bytes())
+    columns = [floats, ints, tags, -floats]
+    p = tmp_path / "cols.csv"
+    digest = serialize.write_csv(p, header, columns)
+    want = csv_bytes(header, zip(*columns))
+    assert p.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+@pytest.mark.parametrize("offset", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1),
+                                    (2, 1)],
+                         ids=["0", "1", "C-1", "C", "C+1", "2C+1"])
+def test_write_csv_chunk_boundaries_match_oracle(tmp_path, offset):
+    """Tables of 0, 1, C-1, C, C+1 and 2C+1 rows, C the rows per chunk."""
+    n = offset[0] * serialize.CHUNK_ROWS + offset[1]
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    columns = [floats, rng.integers(-1000, 1000, n),
+               [("null", "zero")[i % 2] for i in range(n)], -floats]
+    header = ["v", "i", "tag", "w"]
+    p = tmp_path / "t.csv"
+    digest = serialize.write_csv(p, header, columns)
+    want = csv_bytes(header, zip(*columns))
+    assert want.count(b"\n") == n + 1
+    assert p.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
 
 
 def test_write_csv_rejects_bad_columns(tmp_path):
     p = tmp_path / "bad.csv"
     with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a"], columns=[np.array([1.0, np.nan])])
+        serialize.write_csv(p, ["a"], [np.array([1.0, np.nan])])
     with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a", "b"], columns=[np.zeros(2)])
+        serialize.write_csv(p, ["a", "b"], [np.zeros(2)])
     with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a", "b"], columns=[np.zeros(2), ["x"]])
+        serialize.write_csv(p, ["a", "b"], [np.zeros(2), ["x"]])
     with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a"], columns=[["ok", "has,comma"]])
+        serialize.write_csv(p, ["a"], [["ok", "has,comma"]])
     with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a"], columns=[[1.0, float("inf")]])
-    with pytest.raises(TypeError):
-        serialize.write_csv(p, ["a"], [(1.0,)], columns=[np.zeros(1)])
+        serialize.write_csv(p, ["a"], [np.array([1.0, np.inf])])
+    assert not p.exists()
 
 
-def test_write_csv_rejects_bad_rows(tmp_path):
+def test_write_csv_rejects_bad_cells(tmp_path):
+    """A column of another kind raises TypeError; a non-finite float or a
+    string that needs quoting raises ValueError, also in the last row of a
+    many-chunk table. Either way before the file is opened."""
+    n = 2 * serialize.CHUNK_ROWS + 1
     p = tmp_path / "bad.csv"
-    with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a", "b"], [(1,)])
-    with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a"], [("has,comma",)])
-    with pytest.raises(ValueError):
-        serialize.write_csv(p, ["a"], [(True,)])
-    with pytest.raises(TypeError):
-        serialize.write_csv(p, ["a"], [(object(),)])
+    late_nan = np.arange(n, dtype=float)
+    late_nan[-1] = np.nan
+    late_comma = ["ok"] * (n - 1) + ["has,comma"]
+    for bad in (late_nan, late_comma, ["a\nb"], ['say "hi"'], ["cr\r"]):
+        with pytest.raises(ValueError):
+            serialize.write_csv(p, ["a"], [bad])
+        assert not p.exists()
+    for bad in ([True, False], np.array([True, False]),
+                np.array([1.0, "x"], dtype=object), [object()], [1.0, 2.0],
+                [1, 2], np.zeros((2, 1)), np.array(["a", "b"]), (1, 2)):
+        with pytest.raises(TypeError):
+            serialize.write_csv(p, ["a"], [bad])
+        assert not p.exists()

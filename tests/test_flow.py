@@ -8,8 +8,7 @@ from scipy.integrate import solve_ivp
 
 from currentlab import (DEFAULT, CurrentLabError, Hypersurface,
                         SpacetimePoint, StepUnderflowError, Termination,
-                        crossing_count, crossing_events, seed_congruence,
-                        touch_count, trace_curve, trace_curve_two_sided)
+                        crossing_events, seed_congruence, trace_curve)
 from currentlab.flow import trace_curves
 
 from helpers import SCENARIOS, TWO_PI, make_packet, point_at_refined
@@ -79,7 +78,7 @@ def test_step_underflow_raises_when_strict():
 
 def test_two_sided_trace_centers_start():
     packet = make_packet([(-5, 1.0), (0, 4.0), (5, 1.0)])
-    curve = trace_curve_two_sided(packet, (0.1, 2.0), 1.5, 2.5)
+    curve, = trace_curves(packet, [0.1], [2.0], 2.5, 1.5)
     assert curve.s[0] == pytest.approx(-1.5, rel=1e-12)
     assert curve.s[-1] == pytest.approx(2.5, rel=1e-12)
     assert np.all(np.diff(curve.s) > 0)
@@ -99,7 +98,7 @@ def test_two_sided_trace_centers_start():
 def test_backward_then_forward_returns_home():
     packet = make_packet([(-5, 1.0), (0, 4.0), (5, 1.0)])
     tight = DEFAULT.overridden(rk_tol=1e-11)
-    back = trace_curve_two_sided(packet, (0.0, 0.7), 2.0, 0.0, tight)
+    back, = trace_curves(packet, [0.0], [0.7], 0.0, 2.0, tight)
     fwd = trace_curve(packet, (back.t[0], back.x[0]), 2.0, tight)
     assert abs(fwd.t[-1] - 0.0) < 1e-7
     assert abs(fwd.x[-1] - 0.7) < 1e-7
@@ -132,9 +131,7 @@ def test_plane_wave_crosses_const_time_leaf_once():
     surface = Hypersurface.t_const(0.5, TWO_PI, 64)
     curve = trace_curve(packet, (0.0, 1.0), 5.0)
     events = crossing_events(curve, surface)
-    assert crossing_count(curve, surface) == 1
-    assert touch_count(curve, surface) == 0
-    assert events[0].kind == "crossing"
+    assert [ev.kind for ev in events] == ["crossing"]
     # j0 is constant so the crossing parameter is known in closed form
     j0 = packet.current_at(0.0, 0.0)[0]
     s_cross = 0.5 / j0

@@ -175,8 +175,13 @@ def test_leaf_rows_match_pointwise_current_and_elements(scenario_foliations,
                                                         scenario_packets):
     packet = scenario_packets["skewed"]
     leaves = scenario_foliations["skewed"].leaves[:2]
-    rows = leaf_rows(packet, leaves)
-    assert len(rows) == sum(leaf.n_segments for leaf in leaves)
+    columns = leaf_rows(packet, leaves)
+    n_rows = sum(leaf.n_segments for leaf in leaves)
+    assert [len(c) for c in columns] == [n_rows] * 10
+    assert columns[0].dtype.kind == "i"
+    assert all(c.dtype.kind == "f" for c in columns[1:9])
+    assert all(type(v) is str for v in columns[9])
+    rows = list(zip(*(c.tolist() for c in columns[:9]), columns[9]))
     k = 0
     for li, leaf in enumerate(leaves):
         for i in range(leaf.n_segments):

@@ -257,8 +257,9 @@ def test_nondegenerate_pair_signed_one_but_absolute_exceeds_one():
 def test_joint_density_rows_shape_and_symmetry():
     mb = symmetrize([(1.0, (1, -1))], 2, 1.0, TWO_PI).normalized()
     t0 = Hypersurface.t_const(0.0, TWO_PI, 16)
-    rows = joint_density_rows(mb, [t0, t0], grid=9)
-    assert len(rows) == 81
+    columns = joint_density_rows(mb, [t0, t0], grid=9)
+    assert [c.shape for c in columns] == [(81,)] * 3
+    rows = list(zip(*(c.tolist() for c in columns)))
     dens = {(round(l1, 9), round(l2, 9)): v for l1, l2, v in rows}
     for (l1, l2), v in dens.items():
         assert dens[(l2, l1)] == pytest.approx(v, rel=1e-12, abs=1e-15)
@@ -272,8 +273,9 @@ def test_joint_density_rows_match_pointwise_density():
     leaves = [Hypersurface.t_const(0.2, TWO_PI, 16),
               Hypersurface.from_graph(lambda x: 0.37 + 0.3 * math.sin(x),
                                       TWO_PI, 11)]
-    rows = joint_density_rows(mb, leaves, grid=13)
-    assert len(rows) == 169
+    columns = joint_density_rows(mb, leaves, grid=13)
+    assert [c.shape for c in columns] == [(169,)] * 3
+    rows = list(zip(*(c.tolist() for c in columns)))
     for l1, l2, v in rows:
         want = probability_density_n(mb, leaves, (l1, l2))
         assert v == pytest.approx(want, rel=1e-13, abs=1e-14)
