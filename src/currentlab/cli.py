@@ -22,12 +22,10 @@ from . import __version__, config, scenarios, serialize
 from .errors import (ArityMismatchError, ConfigError, CurrentLabError,
                      DegenerateGeometryError, NoIntersectionError,
                      ZeroNormError)
-from .flow import seed_congruence
-from .foliation import (Hypersurface, assess_foliation, build_foliation,
-                        flux, leaf_rows, stack_leaves, tube_conservation)
-from .manybody import joint_density_rows, probability_n, symmetrize
-from .wavefield import (Mode, ScalarWavePacket, classify_array,
-                        classification_map)
+
+# The pipeline modules (wavefield, flow, foliation, manybody) are imported
+# inside the functions that use them, so a command loads only its own, and
+# a function rebound on its module is the one a command calls.
 
 __all__ = ["main"]
 
@@ -76,6 +74,7 @@ def _require(cfg: config.ScenarioConfig, block: str, command: str):
 
 
 def _build_packet(cfg: config.ScenarioConfig):
+    from .wavefield import Mode, ScalarWavePacket
     if cfg.modes is None:
         raise ConfigError("modes: required by this command")
     try:
@@ -86,7 +85,8 @@ def _build_packet(cfg: config.ScenarioConfig):
         raise ConfigError(f"modes: {exc}") from None
 
 
-def _seed_surface(cfg: config.ScenarioConfig) -> Hypersurface:
+def _seed_surface(cfg: config.ScenarioConfig):
+    from .foliation import Hypersurface
     f = cfg.foliation
     try:
         if f.seed == "t-const":
@@ -110,6 +110,8 @@ def _default_span(f: config.FoliationSpec, box_length: float) -> float:
 
 
 def _build_leaf_stack(packet, cfg: config.ScenarioConfig):
+    from .flow import seed_congruence
+    from .foliation import assess_foliation, build_foliation, stack_leaves
     f = cfg.foliation
     seed = _seed_surface(cfg)
     if f.advect:
@@ -129,6 +131,7 @@ _CURVE_HEADER = ["curve_id", "s", "t", "x_unwrapped", "x_mod_L", "j0", "j1",
 
 
 def _curve_columns(packet, congruence, cfg: config.ScenarioConfig):
+    from .wavefield import classify_array
     curves = congruence.curves
     s, t, x, j0, j1 = (np.concatenate([getattr(c, name) for c in curves])
                        for name in ("s", "t", "x", "j0", "j1"))
@@ -156,6 +159,7 @@ def _congruence_summary(congruence) -> dict:
 
 def cmd_classify(cfg: config.ScenarioConfig, writer: RunWriter,
                  seed: int) -> None:
+    from .wavefield import classification_map
     packet = _build_packet(cfg)
     g = _require(cfg, "grid", "classify")
     cmap = classification_map(packet, (g.t0, g.t1), (0.0, cfg.box_length),
@@ -173,6 +177,7 @@ def cmd_classify(cfg: config.ScenarioConfig, writer: RunWriter,
 
 def cmd_trace(cfg: config.ScenarioConfig, writer: RunWriter,
               seed: int) -> None:
+    from .flow import seed_congruence
     packet = _build_packet(cfg)
     f = _require(cfg, "foliation", "trace")
     surface = _seed_surface(cfg)
@@ -187,6 +192,7 @@ def cmd_trace(cfg: config.ScenarioConfig, writer: RunWriter,
 
 def cmd_foliate(cfg: config.ScenarioConfig, writer: RunWriter,
                 seed: int) -> None:
+    from .foliation import flux, leaf_rows
     packet = _build_packet(cfg)
     _require(cfg, "foliation", "foliate")
     fol = _build_leaf_stack(packet, cfg)
@@ -203,6 +209,7 @@ def cmd_foliate(cfg: config.ScenarioConfig, writer: RunWriter,
 
 def cmd_conserve(cfg: config.ScenarioConfig, writer: RunWriter,
                  seed: int) -> None:
+    from .foliation import tube_conservation
     packet = _build_packet(cfg)
     f = _require(cfg, "foliation", "conserve")
     fol = _build_leaf_stack(packet, cfg)
@@ -247,6 +254,7 @@ def _factorization_residual(packet, mass: float, box_length: float):
     Detects product states by the rank of the coefficient matrix; for rank
     one, the two factors come from the leading singular triple.
     """
+    from .wavefield import Mode, ScalarWavePacket
     if packet.n != 2:
         return None
     harmonics = sorted({h for _, hs in packet.terms for h in hs})
@@ -292,6 +300,8 @@ def _slice_independence_residual(packet, t_a: float, t_b: float,
 
 def cmd_manybody(cfg: config.ScenarioConfig, writer: RunWriter,
                  seed: int) -> None:
+    from .foliation import Hypersurface
+    from .manybody import joint_density_rows, probability_n, symmetrize
     mb = _require(cfg, "manybody", "manybody")
     try:
         packet = symmetrize(

@@ -28,12 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .errors import (DegenerateSegmentError, GridError, NoIntersectionError,
-                     QuadratureOverflowError)
+from .errors import GridError, NoIntersectionError, QuadratureOverflowError
 from .geometry import CrossingEvent, LeafGeometry, leaf_crossings
 from .tolerances import DEFAULT, Tolerances
-from .wavefield import (CausalClass, SpacetimePoint, classify_array,
-                        classify_components)
+from .wavefield import SpacetimePoint, classify_array
 
 
 @dataclass(eq=False)
@@ -137,62 +135,6 @@ class Hypersurface:
         return Hypersurface(self.lam.copy(), self.t + dt, self.x.copy(),
                             self.box_length, self.stagnant_nodes)
 
-    def reparametrized(self, new_lam) -> "Hypersurface":
-        """Same geometric nodes carrying different lambda values."""
-        return Hypersurface(np.asarray(new_lam, dtype=float), self.t.copy(),
-                            self.x.copy(), self.box_length, self.stagnant_nodes)
-
-
-@dataclass(frozen=True)
-class SurfaceElement:
-    """Covariant surface element of one leaf segment.
-
-    n_tilde_cov is the element integrated over the segment, (dx, -dt);
-    per unit lambda divide by dlam. The contravariant components follow by
-    raising with diag(1, -1). seg_class classifies the segment tangent.
-    """
-
-    n_tilde_cov: tuple
-    n_tilde_contra: tuple
-    dlam: float
-    seg_class: CausalClass
-
-    def per_unit_lambda(self) -> tuple:
-        return (self.n_tilde_cov[0] / self.dlam, self.n_tilde_cov[1] / self.dlam)
-
-
-def surface_element(surface: Hypersurface, i: int,
-                    tolerances: Tolerances = DEFAULT) -> SurfaceElement:
-    """Surface element of segment i; finite on null segments by construction."""
-    dlam, dt, dx = surface.segment(i)
-    if dt == 0.0 and dx == 0.0:
-        raise DegenerateSegmentError(f"segment {i} has zero displacement")
-    seg_class = classify_components(dt, dx, scale=abs(dt) + abs(dx),
-                                    tolerances=tolerances)
-    return SurfaceElement((dx, -dt), (dx, dt), dlam, seg_class)
-
-
-def beta_example(beta: float) -> dict:
-    """Closed forms for the straight leaf t = beta x, per unit leaf coordinate.
-
-    Returns the induced volume factor sqrt(2|1-beta^2|)/(1+beta^2), the sign
-    of the tangent's Minkowski norm, and the contravariant surface-element
-    magnitudes sqrt(2)/(1+beta^2) * (1, |beta|). All three stay finite and
-    continuous through the null slope beta = 1, where a unit normal would
-    blow up.
-    """
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    b2 = beta * beta
-    g_det = math.sqrt(2.0 * abs(1.0 - b2)) / (1.0 + b2)
-    norm_sign = (1.0 - b2 > 0.0) - (1.0 - b2 < 0.0)
-    mag = math.sqrt(2.0) / (1.0 + b2)
-    return {
-        "n_tilde_mag": (mag, mag * abs(beta)),
-        "norm_sign": int(norm_sign),
-        "g_det": g_det,
-    }
-
 
 # -- flux and probability ----------------------------------------------------
 
@@ -202,21 +144,6 @@ def flux(packet, surface: Hypersurface) -> float:
     the stream-function difference between their ends."""
     phi = packet.stream_grid(surface._t_c, surface._x_c)
     return float(np.sum(np.diff(phi)))
-
-
-def signed_density(packet, surface: Hypersurface, lam_val: float) -> float:
-    """n~_mu j^mu per unit lambda at leaf parameter lam_val (sign kept)."""
-    lam_val = lam_val % 1.0
-    i = surface.segment_of(lam_val)
-    dlam, dt, dx = surface.segment(i)
-    p = surface.point_at(lam_val)
-    j0, j1 = packet.current_at(p.t, p.x)
-    return (j0 * dx - j1 * dt) / dlam
-
-
-def probability_density(packet, surface: Hypersurface, lam_val: float) -> float:
-    """|n~_mu j^mu| per unit lambda; zero where j is tangent to the leaf."""
-    return abs(signed_density(packet, surface, lam_val))
 
 
 def segment_pieces(surface: Hypersurface, lam_range):
@@ -605,7 +532,7 @@ def leaf_rows(packet, leaves, tolerances: Tolerances = DEFAULT) -> list:
                          for name in ("lam", "t", "x", "_dt", "_dx"))
     j0, j1 = np.concatenate([packet.current_grid(leaf.t, leaf.x)
                              for leaf in leaves], axis=1)
-    # the segment classes of surface_element, for all segments at once
+    # the causal class of every segment tangent at once
     classes = classify_array(dt, dx, np.abs(dt) + np.abs(dx), tolerances)
     ids = np.repeat(np.arange(len(leaves)), [leaf.n_segments
                                              for leaf in leaves])

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import foliation, quadrature
 from .errors import ArityMismatchError, ZeroNormError
 from .tolerances import DEFAULT, Tolerances
 from .wavefield import CurrentField, Mode, ScalarWavePacket, _TWO_PI
@@ -364,27 +363,6 @@ class MarginalCurrentField(CurrentField):
 # -- joint density and probability -------------------------------------------
 
 
-def probability_density_n(packet: ManyBodyPacket, leaves, lams) -> float:
-    """|n~ ... n~ . j| per unit lambda^n at one point of each leaf."""
-    if len(leaves) != packet.n or len(lams) != packet.n:
-        raise ArityMismatchError(
-            f"{len(leaves)} leaves / {len(lams)} parameters for n = {packet.n}")
-    points = []
-    elems = []
-    for leaf, lam in zip(leaves, lams):
-        lam = lam % 1.0
-        i = leaf.segment_of(lam)
-        dlam, dt, dx = leaf.segment(i)
-        p = leaf.point_at(lam)
-        points.append((p.t, p.x))
-        elems.append(np.array([dx, -dt]) / dlam)
-    j = packet.current_n(points)
-    val = j
-    for a in range(packet.n):
-        val = np.tensordot(elems[a], val, axes=(0, 0))
-    return abs(float(val))
-
-
 def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
                   tolerances: Tolerances = DEFAULT) -> float:
     """Iterated quadrature of the joint density over per-leaf lambda ranges.
@@ -392,6 +370,7 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
     Supports n = 1 (plain leaf probability) and n = 2 (tensor-product
     adaptive quadrature per segment pair).
     """
+    from . import foliation, quadrature
     if len(leaves) != packet.n or len(lam_ranges) != packet.n:
         raise ArityMismatchError(
             f"{len(leaves)} leaves / {len(lam_ranges)} ranges for n = {packet.n}")
@@ -431,8 +410,8 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
 
 
 def _leaf_samples(leaf, lams):
-    """Points and per-unit-lambda surface elements at the leaf parameters
-    `lams`, placed as probability_density_n places a single one."""
+    """Points at the leaf parameters `lams`, and the surface elements per
+    unit lambda of the segments that hold them."""
     lam = np.asarray(lams, dtype=float) % 1.0
     lam_c = leaf._lam_c
     i = np.clip(np.searchsorted(lam_c, lam, side="right") - 1, 0,

@@ -1,12 +1,15 @@
 """Shared builders and independent oracles for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
-from currentlab import (DEFAULT, Mode, ScalarWavePacket, VectorWavePacket,
+from currentlab import (DEFAULT, ArityMismatchError, CausalClass,
+                        DegenerateSegmentError, Hypersurface, Mode,
+                        ScalarWavePacket, VectorWavePacket, classify_components,
                         quadrature, serialize, trace_curve)
 from currentlab.foliation import segment_pieces
 from currentlab.scenarios import SKEWED_SEED_T
@@ -76,6 +79,101 @@ def random_transverse_photon(rng, max_modes=4):
     pols = [(0.0, 0.0, complex(*rng.normal(size=2)),
              complex(*rng.normal(size=2))) for _ in hs]
     return VectorWavePacket(TWO_PI, modes, pols).normalized()
+
+
+# -- pointwise surface elements and densities --------------------------------
+
+
+def reparametrized(leaf, new_lam):
+    """The leaf's geometric nodes carrying different lambda values."""
+    return Hypersurface(np.asarray(new_lam, dtype=float), leaf.t.copy(),
+                        leaf.x.copy(), leaf.box_length, leaf.stagnant_nodes)
+
+
+@dataclass(frozen=True)
+class SurfaceElement:
+    """Covariant surface element of one leaf segment.
+
+    n_tilde_cov is the element integrated over the segment, (dx, -dt);
+    per unit lambda divide by dlam. The contravariant components follow by
+    raising with diag(1, -1). seg_class classifies the segment tangent.
+    """
+
+    n_tilde_cov: tuple
+    n_tilde_contra: tuple
+    dlam: float
+    seg_class: CausalClass
+
+    def per_unit_lambda(self) -> tuple:
+        return (self.n_tilde_cov[0] / self.dlam, self.n_tilde_cov[1] / self.dlam)
+
+
+def surface_element(surface, i, tolerances=DEFAULT):
+    """Surface element of segment i; finite on null segments by construction."""
+    dlam, dt, dx = surface.segment(i)
+    if dt == 0.0 and dx == 0.0:
+        raise DegenerateSegmentError(f"segment {i} has zero displacement")
+    seg_class = classify_components(dt, dx, scale=abs(dt) + abs(dx),
+                                    tolerances=tolerances)
+    return SurfaceElement((dx, -dt), (dx, dt), dlam, seg_class)
+
+
+def beta_example(beta):
+    """Closed forms for the straight leaf t = beta x, per unit leaf coordinate.
+
+    Returns the induced volume factor sqrt(2|1-beta^2|)/(1+beta^2), the sign
+    of the tangent's Minkowski norm, and the contravariant surface-element
+    magnitudes sqrt(2)/(1+beta^2) * (1, |beta|). All three stay finite and
+    continuous through the null slope beta = 1, where a unit normal would
+    blow up.
+    """
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
+    b2 = beta * beta
+    g_det = math.sqrt(2.0 * abs(1.0 - b2)) / (1.0 + b2)
+    norm_sign = (1.0 - b2 > 0.0) - (1.0 - b2 < 0.0)
+    mag = math.sqrt(2.0) / (1.0 + b2)
+    return {
+        "n_tilde_mag": (mag, mag * abs(beta)),
+        "norm_sign": int(norm_sign),
+        "g_det": g_det,
+    }
+
+
+def signed_density(packet, surface, lam_val):
+    """n~_mu j^mu per unit lambda at leaf parameter lam_val (sign kept)."""
+    lam_val = lam_val % 1.0
+    i = surface.segment_of(lam_val)
+    dlam, dt, dx = surface.segment(i)
+    p = surface.point_at(lam_val)
+    j0, j1 = packet.current_at(p.t, p.x)
+    return (j0 * dx - j1 * dt) / dlam
+
+
+def probability_density(packet, surface, lam_val):
+    """|n~_mu j^mu| per unit lambda; zero where j is tangent to the leaf."""
+    return abs(signed_density(packet, surface, lam_val))
+
+
+def probability_density_n(packet, leaves, lams):
+    """|n~ ... n~ . j| per unit lambda^n at one point of each leaf."""
+    if len(leaves) != packet.n or len(lams) != packet.n:
+        raise ArityMismatchError(
+            f"{len(leaves)} leaves / {len(lams)} parameters for n = {packet.n}")
+    points = []
+    elems = []
+    for leaf, lam in zip(leaves, lams):
+        lam = lam % 1.0
+        i = leaf.segment_of(lam)
+        dlam, dt, dx = leaf.segment(i)
+        p = leaf.point_at(lam)
+        points.append((p.t, p.x))
+        elems.append(np.array([dx, -dt]) / dlam)
+    j = packet.current_n(points)
+    val = j
+    for a in range(packet.n):
+        val = np.tensordot(elems[a], val, axes=(0, 0))
+    return abs(float(val))
 
 
 # -- oracles for the stream function ----------------------------------------

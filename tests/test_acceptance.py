@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from currentlab import (CausalClass, Hypersurface, Mode, ScalarWavePacket,
-                        VectorWavePacket, beta_example, build_foliation,
-                        classification_map, flux,
-                        probability_density, probability_n, signed_density,
-                        surface_element, symmetrize, tube_conservation)
+                        VectorWavePacket, build_foliation, classification_map,
+                        flux, probability_n, symmetrize, tube_conservation)
 from currentlab import scenarios
 
-from helpers import (SCENARIOS, TWO_PI, make_packet, random_packet,
-                     random_pair_state)
+from helpers import (SCENARIOS, TWO_PI, beta_example, make_packet,
+                     probability_density, random_packet, random_pair_state,
+                     signed_density, surface_element)
 
 # built lazily inside the first budgeted test so its cost is measured there
 _FOLIATIONS = {}

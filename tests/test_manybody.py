@@ -8,10 +8,11 @@ import pytest
 
 from currentlab import (ArityMismatchError, Hypersurface, Mode,
                         ScalarWavePacket, ZeroNormError, probability,
-                        probability_density_n, probability_n, symmetrize)
+                        probability_n, symmetrize)
 from currentlab.manybody import ManyBodyPacket, joint_density_rows
 
-from helpers import TWO_PI, make_packet, random_pair_state
+from helpers import (TWO_PI, make_packet, probability_density_n,
+                     random_pair_state)
 
 
 def product_pair(coeffs, mass=1.0, box_length=TWO_PI):
