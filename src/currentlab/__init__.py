@@ -16,9 +16,9 @@ submodule (`currentlab.flow`, ...), loads its module on first access, and
 from importlib import import_module
 
 from .errors import (ArityMismatchError, ConfigError, CurrentLabError,
-                     DegenerateGeometryError, DegenerateSegmentError,
-                     GridError, NoIntersectionError, QuadratureOverflowError,
-                     StepUnderflowError, ZeroNormError)
+                     DegenerateGeometryError, GridError, NoIntersectionError,
+                     QuadratureOverflowError, StepUnderflowError,
+                     ZeroNormError)
 
 __version__ = "0.1.0"
 
@@ -47,9 +47,9 @@ _HOME = {
 __all__ = [
     "ArityMismatchError", "CausalClass", "ClassificationMap", "ConfigError",
     "Congruence", "CurrentField", "CurrentLabError", "DEFAULT",
-    "DegenerateGeometryError", "DegenerateSegmentError", "Foliation",
-    "GridError", "Hypersurface", "IntegralCurve", "ManyBodyPacket",
-    "MarginalCurrentField", "Mode", "NoIntersectionError",
+    "DegenerateGeometryError", "Foliation", "GridError", "Hypersurface",
+    "IntegralCurve", "ManyBodyPacket", "MarginalCurrentField", "Mode",
+    "NoIntersectionError",
     "QuadratureOverflowError", "ScalarWavePacket", "SpacetimePoint",
     "StepUnderflowError", "Termination", "Tolerances", "TubeReport",
     "VectorWavePacket", "ZeroNormError",

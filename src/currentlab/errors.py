@@ -34,10 +34,6 @@ class QuadratureOverflowError(CurrentLabError):
     """Adaptive quadrature reached its panel cap without converging."""
 
 
-class DegenerateSegmentError(CurrentLabError):
-    """Hypersurface segment with zero displacement on the snap grid."""
-
-
 class DegenerateGeometryError(CurrentLabError):
     """Curve and hypersurface share a segment of nonzero length."""
 

@@ -103,22 +103,6 @@ class IntegralCurve:
             + h11 * h * self.j1[i + 1]
         return (float(t), float(x))
 
-    def resampled(self, factor: int) -> tuple:
-        """Dense-output polyline with `factor` subsamples per accepted step.
-
-        Returns (s, t, x) arrays; used for refinement-invariance checks.
-        """
-        if len(self.s) == 1 or factor <= 1:
-            return self.s.copy(), self.t.copy(), self.x.copy()
-        ss = [self.s[0]]
-        for i in range(len(self.s) - 1):
-            seg = np.linspace(self.s[i], self.s[i + 1], factor + 1)[1:]
-            ss.extend(seg.tolist())
-        ss = np.array(ss)
-        pts = np.array([self.point_at(v) for v in ss])
-        pts[0] = (self.t[0], self.x[0])
-        return ss, pts[:, 0], pts[:, 1]
-
 
 def _combine(row, k):
     """Sum of coefficient * stage over one tableau row, lane by lane."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import flow
 from .errors import GridError, NoIntersectionError, QuadratureOverflowError
-from .geometry import CrossingEvent, LeafGeometry, leaf_crossings
+from .geometry import LeafGeometry
 from .tolerances import DEFAULT, Tolerances
 from .wavefield import SpacetimePoint, classify_array
 
@@ -378,27 +378,20 @@ class TubeReport:
         return abs(self.p_a - self.p_b)
 
 
-def _leaf_param_of_event(surface: Hypersurface, event) -> float:
-    lam_c = surface._lam_c
-    i = event.leaf_seg
-    return float(lam_c[i] + event.v * (lam_c[i + 1] - lam_c[i]))
-
-
 def _map_to_leaf(packet, starts, target: Hypersurface,
                  tolerances: Tolerances, s_hint: float | None,
                  max_doublings: int) -> list:
     """Leaf parameters where the curves through `starts` first cross `target`.
 
-    The curves run as one batch, in the bracketing pass and in the tight
-    re-trace; a curve that has not reached the leaf runs again with twice
-    its budget. The first curve, in the order of `starts`, that cannot reach
-    the leaf raises NoIntersectionError.
+    The curves run as one batch only to pick the crossing, which
+    `_level_roots` then solves; a curve that has not reached the leaf runs
+    again with twice its budget. The first curve, in the order of
+    `starts`, that cannot reach the leaf raises NoIntersectionError.
     """
     n = len(starts)
     t0 = np.array([p.t for p in starts])
     x0 = np.array([p.x for p in starts])
     budget = np.full(n, s_hint if s_hint is not None else packet.box_length)
-    curves = [None] * n
     events = [[] for _ in range(n)]
     failures = {}
     todo = list(range(n))
@@ -407,7 +400,6 @@ def _map_to_leaf(packet, starts, target: Hypersurface,
                                    tolerances=tolerances, strict=False)
         retry = []
         for i, curve in zip(todo, traced):
-            curves[i] = curve
             events[i] = flow.crossing_events(curve, target, tolerances)
             if events[i]:
                 continue
@@ -427,65 +419,86 @@ def _map_to_leaf(packet, starts, target: Hypersurface,
         i = min(failures)
         raise NoIntersectionError(
             f"curve from (t={t0[i]:.6g}, x={x0[i]:.6g}) {failures[i]}")
-    # refine: the coarse pass only brackets the crossing; re-integrate the
-    # whole arc from the seed (exactly on the source leaf) at tight tolerance
-    # so no accumulated drift survives, then intersect the dense resample
-    firsts = [ev[0] for ev in events]
-    spans = np.array([curve.s[min(ev.curve_seg + 2, curve.n_samples - 1)]
-                      for curve, ev in zip(curves, firsts)])
-    lams = [_leaf_param_of_event(target, ev) for ev in firsts]
-    arcs = [i for i in range(n) if spans[i] > 0.0]
-    tight = tolerances.overridden(rk_tol=1e-11)
-    subs = flow.trace_curves(packet, t0[arcs], x0[arcs], spans[arcs],
-                             tolerances=tight, strict=False)
-    for i, sub in zip(arcs, subs):
-        lams[i] = _refined_param(target, sub, firsts[i], tolerances)
-    return lams
+    seg = np.array([ev[0].leaf_seg for ev in events])
+    v = np.array([ev[0].v for ev in events])
+    return _level_roots(packet, target, t0, x0, seg, v).tolist()
 
 
-def _refined_param(target: Hypersurface, sub, ev,
-                   tolerances: Tolerances) -> float:
-    """Leaf parameter of the first crossing of the tightly traced arc `sub`.
+# a step in lambda this small is float resolution (a few ulp of 1)
+_LAM_RESOLUTION = 4.0 * np.finfo(float).eps
 
-    Falls back to the coarse event `ev` when the resampled arc misses the leaf.
+
+def _level_roots(packet, target: Hypersurface, t0, x0, seg, v):
+    """Leaf parameters on `target` where Phi returns to its value at (t0, x0).
+
+    An integral curve keeps its level c of the stream function, so it
+    crosses the leaf where Phi_B(lambda) = c + m Q (Q the total flux); m
+    rounds (Phi_B - c) / Q at the coarse crossing, local parameter `v` of
+    segment `seg`. Along the leaf x stays unwrapped, so each period adds Q
+    to Phi and lambda wraps mod 1. The bracket is the crossed segment,
+    widened by one segment on each side until its ends straddle the level
+    (the coarse crossing lies on a chord of the integrator's steps, a
+    segment or more from the root on a fine leaf); a widening that does not
+    carry Phi further the way it runs on the crossed segment raises
+    NoIntersectionError. On the straddling segment Newton steps on the
+    signed density j0 dx - j1 dt run to float resolution, bisecting when a
+    step leaves the bracket or the density is not positive.
     """
-    ss, st, sx = sub.resampled(4)
-    sub_events = leaf_crossings(st, sx, target.leaf_geometry(tolerances.snap))
-    hits = [e for e in sub_events if e.kind == "crossing"] or sub_events
-    if not hits:
-        return _leaf_param_of_event(target, ev)
-    sev = hits[0]
-    # polish: bisect the crossed segment's side function along the dense
-    # output, removing the chord sagitta of the resampled polyline
-    i = sev.leaf_seg
-    q0t = float(target._t_c[i])
-    q0x = float(target._x_c[i]) + sev.shift * target.box_length
-    dt_l = float(target._t_c[i + 1] - target._t_c[i])
-    dx_l = float(target._x_c[i + 1] - target._x_c[i])
+    n, q = target.n_segments, packet.total_flux()
+    phi = packet.stream_grid(target.t, target.x)
+    level = packet.stream_grid(t0, x0)
+    coarse = packet.stream_grid(target._t_c[seg] + v * target._dt[seg],
+                                target._x_c[seg] + v * target._dx[seg])
+    level += np.rint((coarse - level) / q) * q
 
-    def side(s_val: float) -> float:
-        pt, px = sub.point_at(s_val)
-        return (pt - q0t) * dx_l - (px - q0x) * dt_l
+    def f(k):
+        """Phi - level at node k of the leaf continued periodically."""
+        period, r = np.divmod(k, n)
+        return phi[r] + period * q - level
 
-    lo, hi = float(ss[sev.curve_seg]), float(ss[sev.curve_seg + 1])
-    f_lo, f_hi = side(lo), side(hi)
-    if f_lo * f_hi < 0.0:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f_mid = side(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if f_lo * f_mid < 0.0:
-                hi, f_hi = mid, f_mid
-            else:
-                lo, f_lo = mid, f_mid
-        pt, px = sub.point_at(0.5 * (lo + hi))
-        v = (((pt - q0t) * dt_l + (px - q0x) * dx_l)
-             / (dt_l * dt_l + dx_l * dx_l))
-        sev = CrossingEvent(sev.curve_seg, sev.u, i,
-                            min(max(v, 0.0), 1.0), sev.shift, sev.kind)
-    return _leaf_param_of_event(target, sev)
+    lo, hi = seg, seg + 1
+    rise = np.sign(f(hi) - f(lo))
+    while (wide := f(lo) * f(hi) > 0.0).any():
+        turned = wide & ~((rise * (f(lo) - f(lo - 1)) > 0.0)
+                          & (rise * (f(hi + 1) - f(hi)) > 0.0))
+        if turned.any():
+            i = int(np.argmax(turned))
+            raise NoIntersectionError(
+                f"curve from (t={t0[i]:.6g}, x={x0[i]:.6g}) crosses leaf "
+                f"segment {seg[i]}, but the stream function turns back on "
+                f"segments {(lo[i] - 1) % n}..{hi[i] % n} before reaching "
+                f"the curve's level")
+        lo, hi = lo - wide, hi + wide
+    # the straddling segment: the crossed one or the outer one on the side
+    # of the level, solved for its local parameter u
+    k = np.where(f(lo) * f(lo + 1) <= 0.0, lo, hi - 1)
+    period, r = np.divmod(k, n)
+    ta, dt = target._t_c[r], target._dt[r]
+    xa, dx = target._x_c[r] + period * target.box_length, target._dx[r]
+    lam0 = target._lam_c[r] + period
+    dlam = target._lam_c[r + 1] - target._lam_c[r]
+    neg = np.where(f(k + 1) > f(k), 0.0, 1.0)  # the end below the level
+    pos = 1.0 - neg
+    u = np.where(k == seg, v, np.where(k < seg, 1.0, 0.0))
+    ids = np.arange(len(seg))
+    while ids.size:
+        uu = u[ids]
+        pt, px = ta[ids] + uu * dt[ids], xa[ids] + uu * dx[ids]
+        g = packet.stream_grid(pt, px) - level[ids]
+        j0, j1 = packet.current_grid(pt, px)
+        slope = j0 * dx[ids] - j1 * dt[ids]
+        neg[ids] = np.where(g < 0.0, uu, neg[ids])
+        pos[ids] = np.where(g > 0.0, uu, pos[ids])
+        a, b = np.minimum(neg[ids], pos[ids]), np.maximum(neg[ids], pos[ids])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = uu - g / slope
+        nxt = np.where((slope > 0.0) & (a < nxt) & (nxt < b), nxt,
+                       0.5 * (a + b))
+        u[ids] = np.where(g == 0.0, uu, nxt)
+        ids = ids[(g != 0.0) & (np.abs(nxt - uu) * dlam[ids] > _LAM_RESOLUTION)
+                  & ((b - a) * dlam[ids] > _LAM_RESOLUTION)]
+    lam = (lam0 + u * dlam) % 1.0
+    return np.where(lam >= 1.0, lam - 1.0, lam)
 
 
 def tube_conservation(packet, leaf_a: Hypersurface, range_a,
@@ -495,11 +508,13 @@ def tube_conservation(packet, leaf_a: Hypersurface, range_a,
                       max_doublings: int = 6) -> TubeReport:
     """Probability through a sub-range of leaf_a and through its image on leaf_b.
 
-    The two boundary integral curves of the tube are traced from the endpoints
-    of range_a until they cross leaf_b; the wrapped forward arc between the
-    two crossing parameters is the image range. For a conserved current the
-    two probabilities agree (Gauss law on the tube, no side flux through the
-    boundary curves).
+    The boundary integral curves of the tube start at the ends of range_a
+    and are traced, as one batch, until they cross leaf_b (from an affine
+    budget `s_hint`, doubled at most `max_doublings` times); the stream
+    function then places each crossing exactly. The image range is the
+    wrapped forward arc between the two. For a conserved current the two
+    probabilities agree (Gauss law on the tube, no side flux through the
+    boundary curves), to float resolution where the density is positive.
     """
     la1, la2 = float(range_a[0]), float(range_a[1])
     if not (0.0 <= la1 <= 1.0 and 0.0 <= la2 <= 1.0 and la1 <= la2):

@@ -62,9 +62,11 @@ BUILTIN = {
         "outputDir": "runs/standing-wave",
     },
     # strong zero mode beating against +-5: the charge density goes negative
-    # in pockets, so t = const slices at generic times are inadmissible and
-    # the adapted leaves develop timelike segments. The seed sits at the beat
-    # zero, the one family of flat slices the whole congruence crosses once.
+    # in pockets, so many t = const slices are inadmissible and the adapted
+    # leaves develop timelike segments. Flat slices keep j0 > 0 in two
+    # windows per beat period of 1.533, 53% of it, with edges at t ~ 0.179,
+    # 0.587, 0.946 and 1.353 (mod the period); the seed, at the beat zero,
+    # lies in the middle of the second.
     "skewed": {
         "name": "skewed",
         "mass": 1.0,

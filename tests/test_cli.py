@@ -283,6 +283,18 @@ def test_unreachable_leaf_exits_four(tmp_path, capsys):
     assert "lab: geometric failure" in capsys.readouterr().err
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP defect 2: a tube end drawn next to a stagnation line stops the "
+    "integrator's bracketing pass before the leaf (exit 4); Direction 4 maps "
+    "it by the stream function alone"))
+def test_conserve_next_to_stagnation_line_exits_zero(tmp_path):
+    cfg = scenarios.builtin("standing-wave")
+    cfg["conserve"] = {"nRanges": 40}
+    code, _ = run(tmp_path, "conserve", write_config(tmp_path, cfg),
+                  "--seed", "202")
+    assert code == 0
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

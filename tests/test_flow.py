@@ -11,7 +11,8 @@ from currentlab import (DEFAULT, CurrentLabError, Hypersurface,
                         crossing_events, seed_congruence, trace_curve)
 from currentlab.flow import trace_curves
 
-from helpers import SCENARIOS, TWO_PI, make_packet, point_at_refined
+from helpers import (SCENARIOS, TWO_PI, make_packet, point_at_refined,
+                     resampled)
 
 
 def reference_endpoint(packet, start, s_max, rtol=1e-12):
@@ -118,7 +119,7 @@ def test_dense_output_and_refined_point():
 def test_resampled_polyline_follows_curve():
     packet = make_packet([(-5, 1.0), (0, 4.0), (5, 1.0)])
     curve = trace_curve(packet, (0.0, 0.4), 2.0)
-    ss, ts, xs = curve.resampled(4)
+    ss, ts, xs = resampled(curve, 4)
     assert len(ss) == 4 * (curve.n_samples - 1) + 1
     assert np.all(np.diff(ss) > 0)
     keep = np.searchsorted(ss, curve.s)

@@ -1,5 +1,6 @@
 """Leaves, surface elements, fluxes, foliations, and flux tubes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ import pytest
 
 from currentlab import (CausalClass, GridError, Hypersurface,
                         NoIntersectionError, QuadratureOverflowError,
-                        Termination, advect_leaf, assess_foliation, flux,
-                        probability, probability_wrapped, seed_congruence,
-                        stack_leaves, tube_conservation)
+                        Termination, advect_leaf, assess_foliation, flow,
+                        flux, probability, probability_wrapped,
+                        seed_congruence, stack_leaves, tube_conservation)
 from currentlab.foliation import leaf_rows
 
-from helpers import (TWO_PI, beta_example, make_packet,
-                     probability_by_root_splitting, probability_density,
-                     random_packet, random_pair_state,
+from helpers import (TWO_PI, beta_example, leaf_image_by_dop853,
+                     make_packet, probability_by_root_splitting,
+                     probability_density, random_packet, random_pair_state,
                      random_transverse_photon, reparametrized,
                      segment_flux_by_quadrature, signed_density,
                      surface_element)
@@ -416,3 +417,112 @@ def test_stagnant_tube_boundary_raises():
     with pytest.raises(NoIntersectionError):
         # lambda = 0.25 sits exactly on the x = pi/2 zero line
         tube_conservation(packet, a, (0.25, 0.25), b, s_hint=1.0)
+
+
+# -- tube images from the stream function ------------------------------------
+
+def _wrapped_gap(a, b):
+    return abs((a - b + 0.5) % 1.0 - 0.5)
+
+
+def _random_ranges(seed, count):
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(0.0, 0.8, count)
+    return [(a, a + w) for a, w in zip(starts, rng.uniform(0.05, 0.2, count))]
+
+
+def _check_against_dop853(packet, leaf_a, leaf_b, ranges, s_max):
+    for a, b in ranges:
+        report = tube_conservation(packet, leaf_a, (a, b), leaf_b)
+        assert report.residual <= 1e-13
+        for lam_a, lam_b in zip((a, b), report.range_b):
+            want = leaf_image_by_dop853(packet, leaf_a.point_at(lam_a),
+                                        leaf_b, s_max)
+            assert _wrapped_gap(lam_b, want) <= 1e-10, (lam_a, lam_b, want)
+
+
+def test_tube_images_match_dop853_on_advected_leaves(scenario_packets,
+                                                     scenario_foliations):
+    leaves = scenario_foliations["skewed"].leaves
+    _check_against_dop853(scenario_packets["skewed"], leaves[1], leaves[6],
+                          _random_ranges(12, 6), s_max=2.0)
+
+
+def test_tube_images_match_dop853_on_curved_leaf(scenario_packets):
+    leaf_a = Hypersurface.t_const(0.2, TWO_PI, 64)
+    leaf_b = Hypersurface.from_graph(lambda x: 0.37 + 0.1 * math.sin(x),
+                                     TWO_PI, 64)
+    _check_against_dop853(scenario_packets["skewed"], leaf_a, leaf_b,
+                          _random_ranges(37, 6), s_max=3.0)
+
+
+@pytest.mark.parametrize("name", ["skewed", "standing-wave"])
+def test_builtin_tube_residuals_at_float_resolution(name, scenario_packets,
+                                                    scenario_foliations):
+    leaves = scenario_foliations[name].leaves
+    for a, b in _random_ranges(5, 10):
+        report = tube_conservation(scenario_packets[name], leaves[1], (a, b),
+                                   leaves[6])
+        assert report.residual <= 1e-13
+
+
+# plane wave: curves are the lines x = x0 + t k / omega, so a tube end on
+# t = 0 maps to t = 0.4 shifted by 0.4 / (sqrt 2 L) in lambda
+_PLANE_SHIFT = 0.4 / (math.sqrt(2.0) * TWO_PI)
+
+
+def _plane_leaves(n_nodes=32):
+    return (make_packet([(1, 1.0)]),
+            Hypersurface.t_const(0.0, TWO_PI, n_nodes),
+            Hypersurface.t_const(0.4, TWO_PI, n_nodes))
+
+
+def _move_coarse_crossing(monkeypatch, leaf_seg, v):
+    """Report the first crossing of every curve at (leaf_seg, v) instead."""
+    real = flow.crossing_events
+
+    def moved(curve, surface, tolerances):
+        first, *rest = real(curve, surface, tolerances)
+        return [dataclasses.replace(first, leaf_seg=leaf_seg, v=v), *rest]
+
+    monkeypatch.setattr(flow, "crossing_events", moved)
+
+
+@pytest.mark.parametrize("leaf_seg, v", [
+    (8, 1.0 - 32 * 5e-10),  # 5e-10 before node 9, the root 1e-10 after it
+    (7, 0.5),               # a segment and a half short of the root
+])
+def test_tube_image_past_a_node_widens_the_bracket(monkeypatch, leaf_seg, v):
+    packet, a, b = _plane_leaves()
+    want = 9 / 32 + 1e-10
+    start = want - _PLANE_SHIFT
+    exact = tube_conservation(packet, a, (start, start), b).range_b[0]
+    assert abs(exact - want) <= 1e-13
+    _move_coarse_crossing(monkeypatch, leaf_seg, v)
+    lb1, lb2 = tube_conservation(packet, a, (start, start), b).range_b
+    assert lb1 == lb2 and abs(lb1 - exact) <= 1e-15
+
+
+def test_tube_image_wraps_past_one():
+    packet, a, b = _plane_leaves()
+    report = tube_conservation(packet, a, (0.85, 0.97), b)
+    lb1, lb2 = report.range_b
+    assert lb1 == pytest.approx(0.85 + _PLANE_SHIFT, abs=1e-13)
+    assert lb2 == pytest.approx(0.97 + _PLANE_SHIFT - 1.0, abs=1e-13)
+    assert report.p_a == pytest.approx(0.12, abs=1e-13)
+    assert report.residual <= 1e-13
+
+
+def test_unbracketed_level_raises(monkeypatch):
+    # a spike at node 4 runs timelike against the current, so Phi falls
+    # on segment 3: walking from segment 1 toward the image on segment 6,
+    # the bracket meets the fall before the level
+    packet, a, _ = _plane_leaves()
+    lam = np.arange(8) / 8
+    t = np.where(np.arange(8) == 4, 3.4, 0.4)
+    spiked = Hypersurface(lam, t, lam * TWO_PI, TWO_PI)
+    _move_coarse_crossing(monkeypatch, 1, 0.5)
+    with pytest.raises(NoIntersectionError,
+                       match=r"from \(t=0, x=4\.71239\) crosses leaf segment "
+                             r"1, but the stream function turns back"):
+        tube_conservation(packet, a, (0.75, 0.75), spiked)
