@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatchError, ZeroNormError
+from .errors import ArityMismatchError, QuadratureOverflowError, ZeroNormError
 from .tolerances import DEFAULT, Tolerances
 from .wavefield import CurrentField, Mode, ScalarWavePacket, _TWO_PI
 
@@ -368,7 +368,21 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
     """Iterated quadrature of the joint density over per-leaf lambda ranges.
 
     Supports n = 1 (plain leaf probability) and n = 2 (tensor-product
-    adaptive quadrature per segment pair).
+    adaptive quadrature of |rho| per segment pair). For n = 2 the density on
+    a segment pair is a short sum of separable products over the term pairs
+    k = (S, T),
+
+        rho(u1, u2) = Re sum_k w_k f1_k(u1) f2_k(u2),   w_k = conj(c_S) c_T,
+
+    with the slot factor of segment (dt, dx) for slot a
+
+        f_k(u) = ((omega_Sa + omega_Ta) dx - (k_Sa + k_Ta) dt)
+                 conj(e_Sa(u)) e_Ta(u),   e_h(u) = e^{-i theta_h(p(u))},
+
+    so each quadrature estimate evaluates the mode phases on the nodes of
+    each axis, carries w on the first slot's table and contracts the two
+    (K, nodes) tables over k, instead of evaluating the rank-2 current at
+    every tensor-grid point.
     """
     from . import foliation, quadrature
     if len(leaves) != packet.n or len(lam_ranges) != packet.n:
@@ -386,27 +400,60 @@ def probability_n(packet: ManyBodyPacket, leaves, lam_ranges,
     scale = packet.current_scale
     # the panel cap holds for the whole square, as it does for a segment
     panels_per_axis = math.isqrt(tolerances.quad_max_panels)
+    # term-pair tables, k = (S, T) in row-major order
+    om, kk = packet._omega, packet._k
+    s_idx, t_idx = np.divmod(np.arange(len(packet._tuples) ** 2),
+                             len(packet._tuples))
+    w = np.conj(packet._coeffs[s_idx]) * packet._coeffs[t_idx]
+    h_s, h_t = packet._slots[s_idx], packet._slots[t_idx]
+    om_sum, k_sum = om[h_s] + om[h_t], kk[h_s] + kk[h_t]
+
+    def slot_factors(leaf, i, slot, coeffs=1.0):
+        """u -> the (K, len(u)) table coeffs_k f_k(u) of slot `slot` on
+        segment i, and the segment's size |dx| + |dt|."""
+        _, dt, dx = leaf.segment(i)
+        t0 = float(leaf._t_c[i]); x0 = float(leaf._x_c[i])
+        weight = coeffs * (om_sum[:, slot] * dx - k_sum[:, slot] * dt)
+        weight = weight[:, None]
+        h_a, h_b = h_s[:, slot], h_t[:, slot]
+
+        def factors(u):
+            u = u.ravel()
+            theta = (om[:, None] * (t0 + u * dt)[None, :]
+                     - kk[:, None] * (x0 + u * dx)[None, :])
+            # conj(e_S) e_T as one exponential, exactly 1 where S and T
+            # share the slot's harmonic
+            return weight * np.exp(1j * (theta[h_a] - theta[h_b]))
+
+        return factors, abs(dx) + abs(dt)
+
     total = 0.0
+    slots_b = [slot_factors(leaf_b, ib, 1) for ib, _, _ in pieces_b]
     for ia, ua0, ua1 in pieces_a:
-        _, dta, dxa = leaf_a.segment(ia)
-        ta0 = float(leaf_a._t_c[ia]); xa0 = float(leaf_a._x_c[ia])
-        na = np.array([dxa, -dta])
-        for ib, ub0, ub1 in pieces_b:
-            _, dtb, dxb = leaf_b.segment(ib)
-            tb0 = float(leaf_b._t_c[ib]); xb0 = float(leaf_b._x_c[ib])
-            nb = np.array([dxb, -dtb])
+        factors_a, size_a = slot_factors(leaf_a, ia, 0, w)
+        for (ib, ub0, ub1), (factors_b, size_b) in zip(pieces_b, slots_b):
 
             def f(u1, u2):
-                j = packet.current_pair_grid(ta0 + u1 * dta, xa0 + u1 * dxa,
-                                             tb0 + u2 * dtb, xb0 + u2 * dxb)
-                return np.abs(np.einsum("m,n,pmn->p", na, nb, j))
+                return np.abs((factors_a(u1).T @ factors_b(u2)).real)
 
-            floor = tolerances.quad_tol * scale \
-                * (abs(dxa) + abs(dta)) * (abs(dxb) + abs(dtb))
-            total += quadrature.adaptive_2d(f, ua0, ua1, ub0, ub1,
-                                            tolerances.quad_tol, floor,
-                                            panels_per_axis)
+            floor = tolerances.quad_tol * scale * size_a * size_b
+            try:
+                total += quadrature.adaptive_2d(f, ua0, ua1, ub0, ub1,
+                                                tolerances.quad_tol, floor,
+                                                panels_per_axis)
+            except QuadratureOverflowError:
+                raise QuadratureOverflowError(
+                    "no convergence of the joint density on lambda1 in "
+                    f"{_lam_interval(leaf_a, ia, ua0, ua1)} x lambda2 in "
+                    f"{_lam_interval(leaf_b, ib, ub0, ub1)} within "
+                    f"{panels_per_axis} panels per axis") from None
     return total
+
+
+def _lam_interval(leaf, i, u0, u1) -> str:
+    lam0 = float(leaf._lam_c[i])
+    dlam = float(leaf._lam_c[i + 1]) - lam0
+    return f"[{lam0 + u0 * dlam:.6g}, {lam0 + u1 * dlam:.6g}]"
 
 
 def _leaf_samples(leaf, lams):

@@ -2,7 +2,10 @@
 
 Used for two-particle probability integrals over pairs of leaf segments
 (one-particle flux and probability are differences of the stream function,
-`CurrentField.stream_grid`). Panels
+`CurrentField.stream_grid`). The 2-d rule works on the tensor grid of the
+per-axis nodes: the integrand receives the two node axes as a column and a
+row, so a density that is a short sum of separable products is built from
+per-axis factors instead of being evaluated at every grid point. Panels
 are doubled until the estimate changes by less than the requested relative
 tolerance (with an absolute floor so integrals that are genuinely zero do not
 trigger endless refinement), up to a hard panel cap per segment. An integral
@@ -59,9 +62,13 @@ def adaptive_2d(f, a1: float, b1: float, a2: float, b2: float,
                 rel_tol: float, abs_floor: float, max_panels: int) -> float:
     """Tensor-product version of `adaptive` over the rectangle [a1,b1]x[a2,b2].
 
-    f maps two flat arrays (u1, u2) of equal length to an array of values.
-    Both axes are refined together; max_panels caps the panel count per axis
-    and QuadratureOverflowError is raised when the cap is reached unconverged.
+    f is called on broadcastable axes, f(u1[:, None], u2[None, :]), with the
+    nodes of axis 1 as a column and those of axis 2 as a row; its result is
+    broadcast to the (n1, n2) tensor grid and the estimate is w1 @ values @ w2.
+    An elementwise integrand of (u1, u2) therefore works unchanged, and a
+    separable one can be evaluated from per-axis factors. Both axes are
+    refined together; max_panels caps the panel count per axis and
+    QuadratureOverflowError is raised when the cap is reached unconverged.
     """
     if b1 <= a1 or b2 <= a2:
         return 0.0
@@ -69,10 +76,9 @@ def adaptive_2d(f, a1: float, b1: float, a2: float, b2: float,
     def estimate(panels):
         u1, w1 = panel_points(a1, b1, panels)
         u2, w2 = panel_points(a2, b2, panels)
-        uu1 = np.repeat(u1, u2.size)
-        uu2 = np.tile(u2, u1.size)
-        ww = np.multiply.outer(w1, w2).ravel()
-        return float(np.dot(ww, f(uu1, uu2)))
+        values = np.broadcast_to(f(u1[:, None], u2[None, :]),
+                                 (u1.size, u2.size))
+        return float(w1 @ values @ w2)
 
     panels = 1
     best = estimate(panels)

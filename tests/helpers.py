@@ -9,9 +9,10 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from currentlab import (DEFAULT, ArityMismatchError, CausalClass,
-                        Hypersurface, Mode, ScalarWavePacket,
-                        VectorWavePacket, classify_components, quadrature,
-                        serialize, trace_curve)
+                        Hypersurface, Mode, QuadratureOverflowError,
+                        ScalarWavePacket, VectorWavePacket,
+                        classify_components, quadrature, serialize,
+                        trace_curve)
 from currentlab.foliation import segment_pieces
 from currentlab.geometry import leaf_crossings
 from currentlab.scenarios import SKEWED_SEED_T
@@ -351,3 +352,63 @@ def csv_bytes(header, rows) -> bytes:
     lines = [",".join(header)]
     lines.extend(",".join(map(format_cell, row)) for row in rows)
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# -- oracle for two-particle probability -------------------------------------
+
+def _flat_adaptive_2d(f, a1, b1, a2, b2, rel_tol, abs_floor, max_panels):
+    """2-d panel doubling on the flattened tensor grid: f receives the
+    repeated first-axis and tiled second-axis nodes, one pair per point."""
+    if b1 <= a1 or b2 <= a2:
+        return 0.0
+
+    def estimate(panels):
+        u1, w1 = quadrature.panel_points(a1, b1, panels)
+        u2, w2 = quadrature.panel_points(a2, b2, panels)
+        ww = np.multiply.outer(w1, w2).ravel()
+        return float(np.dot(ww, f(np.repeat(u1, u2.size),
+                                  np.tile(u2, u1.size))))
+
+    panels = 1
+    best = estimate(panels)
+    while panels < max_panels:
+        panels *= 2
+        nxt = estimate(panels)
+        if abs(nxt - best) <= max(rel_tol * abs(nxt), abs_floor):
+            return nxt
+        best = nxt
+    raise QuadratureOverflowError(
+        f"no convergence on [{a1:.6g}, {b1:.6g}] x [{a2:.6g}, {b2:.6g}] "
+        f"within {max_panels} panels per axis (last estimate {best:.6g})")
+
+
+def probability_n_flat(packet, leaves, lam_ranges, tolerances=DEFAULT):
+    """Two-particle probability from the rank-2 current at every grid point:
+    |n_a . j . n_b| from `current_pair_grid`, one flat-grid quadrature per
+    segment pair, with the floor and panel cap of `probability_n`."""
+    leaf_a, leaf_b = leaves
+    pieces_a = list(zip(*segment_pieces(leaf_a, lam_ranges[0])))
+    pieces_b = list(zip(*segment_pieces(leaf_b, lam_ranges[1])))
+    scale = packet.current_scale
+    panels_per_axis = math.isqrt(tolerances.quad_max_panels)
+    total = 0.0
+    for ia, ua0, ua1 in pieces_a:
+        _, dta, dxa = leaf_a.segment(ia)
+        ta0, xa0 = float(leaf_a._t_c[ia]), float(leaf_a._x_c[ia])
+        na = np.array([dxa, -dta])
+        for ib, ub0, ub1 in pieces_b:
+            _, dtb, dxb = leaf_b.segment(ib)
+            tb0, xb0 = float(leaf_b._t_c[ib]), float(leaf_b._x_c[ib])
+            nb = np.array([dxb, -dtb])
+
+            def f(u1, u2):
+                j = packet.current_pair_grid(ta0 + u1 * dta, xa0 + u1 * dxa,
+                                             tb0 + u2 * dtb, xb0 + u2 * dxb)
+                return np.abs(np.einsum("m,n,pmn->p", na, nb, j))
+
+            floor = tolerances.quad_tol * scale \
+                * (abs(dxa) + abs(dta)) * (abs(dxb) + abs(dtb))
+            total += _flat_adaptive_2d(f, ua0, ua1, ub0, ub1,
+                                       tolerances.quad_tol, floor,
+                                       panels_per_axis)
+    return total

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from currentlab import (ArityMismatchError, Hypersurface, Mode,
-                        ScalarWavePacket, ZeroNormError, probability,
-                        probability_n, symmetrize)
+from currentlab import (DEFAULT, ArityMismatchError, Hypersurface, Mode,
+                        QuadratureOverflowError, ScalarWavePacket,
+                        ZeroNormError, probability, probability_n,
+                        symmetrize)
 from currentlab.manybody import ManyBodyPacket, joint_density_rows
 
 from helpers import (TWO_PI, make_packet, probability_density_n,
-                     random_pair_state)
+                     probability_n_flat, random_pair_state)
 
 
 def product_pair(coeffs, mass=1.0, box_length=TWO_PI):
@@ -253,6 +254,58 @@ def test_nondegenerate_pair_signed_one_but_absolute_exceeds_one():
     assert float(rho.sum()) == pytest.approx(1.0, abs=1e-12)
     assert float(dens.min()) < -1e-3
     assert float(np.abs(rho).sum()) > 1.001
+
+
+# the slot-factor kernel of probability_n against the rank-2 current on the
+# flattened grid (`probability_n_flat`); a random state's |rho| has kinks
+# where rho changes sign, which need many panels on a full range, so it is
+# compared on partial and zero-length ranges
+ORACLE_STATES = {
+    "product-pair": lambda: symmetrize([(1.0, (1, 1))], 2, 1.0, TWO_PI),
+    "entangled-pair": lambda: symmetrize([(1.0, (1, -1))], 2, 1.0, TWO_PI),
+    "random": lambda: random_pair_state(np.random.default_rng(1)),
+}
+ORACLE_LEAVES = {
+    "t-const": lambda: [Hypersurface.t_const(0.1, TWO_PI, 8),
+                        Hypersurface.t_const(0.47, TWO_PI, 7)],
+    "curved": lambda: [Hypersurface.t_const(0.1, TWO_PI, 8),
+                       Hypersurface.from_graph(
+                           lambda x: 0.37 + 0.3 * math.sin(x), TWO_PI, 7)],
+}
+ORACLE_RANGES = {
+    "full": [(0.0, 1.0), (0.0, 1.0)],
+    "partial": [(0.1, 0.3), (0.55, 0.7)],
+    "zero": [(0.2, 0.2), (0.0, 1.0)],
+}
+
+
+@pytest.mark.parametrize("state, leaves, ranges", [
+    (s, l, r) for s in ORACLE_STATES for l in ORACLE_LEAVES
+    for r in ORACLE_RANGES if not (s == "random" and r == "full")])
+def test_probability_n_matches_flat_rank_two_oracle(state, leaves, ranges):
+    mb = ORACLE_STATES[state]().normalized()
+    got = probability_n(mb, ORACLE_LEAVES[leaves](), ORACLE_RANGES[ranges])
+    want = probability_n_flat(mb, ORACLE_LEAVES[leaves](),
+                              ORACLE_RANGES[ranges])
+    if ranges == "zero":
+        assert got == want == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_one_panel_cap_overflows_on_both_paths():
+    mb = symmetrize([(1.0, (1, 1))], 2, 1.0, TWO_PI).normalized()
+    leaves = ORACLE_LEAVES["t-const"]()
+    one_panel = DEFAULT.overridden(quad_max_panels=1)
+    full = ORACLE_RANGES["full"]
+    with pytest.raises(QuadratureOverflowError,
+                       match="within 1 panels per axis"):
+        probability_n_flat(mb, leaves, full, one_panel)
+    # the message names the failing segment pair by its lambda intervals
+    with pytest.raises(QuadratureOverflowError, match=(
+            r"lambda1 in \[0, 0\.125\] x lambda2 in \[0, 0\.142857\] "
+            r"within 1 panels per axis")):
+        probability_n(mb, leaves, full, one_panel)
 
 
 def test_joint_density_rows_shape_and_symmetry():

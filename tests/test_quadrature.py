@@ -33,3 +33,33 @@ def test_cap_of_one_panel_never_converges():
         adaptive_2d(lambda u, v: np.ones_like(u), 0.0, 1.0, 0.0, 1.0, 1e-9,
                     1.0, 1)
     assert adaptive(np.ones_like, 1.0, 1.0, 1e-9, 0.0, max_panels=1) == 0.0
+
+
+def test_2d_integrand_receives_broadcastable_axes():
+    shapes = []
+
+    def f(u, v):
+        shapes.append((u.shape, v.shape))
+        return np.ones_like(u * v)
+
+    adaptive_2d(f, 0.0, 1.0, 0.0, 2.0, 1e-12, 0.0, 4)
+    # one panel, then two: 7 and 14 Gauss nodes per axis
+    assert shapes == [((7, 1), (1, 7)), ((14, 1), (1, 14))]
+
+
+def test_separable_2d_integral_is_product_of_1d_integrals():
+    g, h = np.cos, lambda v: np.exp(-v * v)
+    got = adaptive_2d(lambda u, v: g(u) * h(v), 0.0, 2.0, -1.0, 0.5, 1e-13,
+                      0.0, 64)
+    want = adaptive(g, 0.0, 2.0, 1e-13, 0.0) \
+        * adaptive(h, -1.0, 0.5, 1e-13, 0.0)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_2d_integrand_of_one_axis_broadcasts_to_the_grid():
+    # np.ones_like(u) has shape (n, 1); it is broadcast over the second axis
+    got = adaptive_2d(lambda u, v: np.ones_like(u), 0.0, 2.0, 0.0, 3.0,
+                      1e-12, 0.0, 4)
+    assert got == pytest.approx(6.0, rel=1e-14)
+    got = adaptive_2d(lambda u, v: 2.0 * v, 0.0, 2.0, 0.0, 3.0, 1e-12, 0.0, 4)
+    assert got == pytest.approx(18.0, rel=1e-14)
